@@ -124,13 +124,10 @@ let mailbox_cost (module T : Smr.Tracker.S) =
       ignore (MB.drain mb ~tid:1 ~max:1))
 
 (* Chaos hook overhead with chaos off — the zero-cost-when-disabled
-   claim, measured on both injection points.  Mpool.alloc pays one
-   uncontended atomic load on the (empty) OOM budget; the Conn reply
-   path pays one physical-equality check against [Faults.none].  Each
-   hooked path is paired with its hypothetical hook-free baseline
-   (plain alloc/free has no such baseline left, so the pair there is
-   alloc/free with the budget at rest vs. armed-and-drained — the
-   same branch, both sides). *)
+   claim for Mpool.alloc, which pays one uncontended atomic load on
+   the (empty) OOM budget (plain alloc/free has no hook-free baseline
+   left, so the row is alloc/free with the budget at rest).  The
+   write-frame row times a blocking client's framed write. *)
 
 let mpool_alloc_disabled_hook_cost =
   let pool = Pool.create () in
@@ -146,13 +143,6 @@ let conn_write_frame_cost =
   (fun () ->
       Service.Codec.encode_reply out (Service.Codec.Value 7);
       Service.Conn.write_frame fd out)
-
-let conn_write_reply_disabled_hook_cost =
-  let fd = Lazy.force devnull in
-  let out = Buffer.create 32 in
-  (fun () ->
-      Service.Codec.encode_reply out (Service.Codec.Value 7);
-      Service.Conn.write_reply ~faults:Service.Conn.Faults.none fd out)
 
 (* lib/replica durability costs: the checksum, one record encode/
    decode, the WAL write path at both batching extremes (a 1-record
@@ -489,9 +479,8 @@ let with_bench_dir tag f =
       try Unix.rmdir dir with _ -> ())
     (fun () -> f dir)
 
-(* The commit-sync substitution the mmap store makes: the same
-   [Wal.commit] group-commit loop, synced by fsync(2) on the fs store
-   vs msync(2) on the mmap store's live mapping. *)
+(* The [Wal.commit] group-commit loop synced by fsync(2) on the fs
+   store: one record per commit, so every row pays a whole sync. *)
 let wal_commit_sync_row ~name store =
   let w, _ = Replica.Wal.open_ ~store ~shard:0 () in
   let k = ref 0 in
@@ -586,9 +575,6 @@ let snapshot_rows () =
       with_bench_dir "walfsync" (fun dir ->
           wal_commit_sync_row ~name:"table1/replica/wal-commit-fsync"
             (Replica.Store.fs ~dir));
-      with_bench_dir "walmsync" (fun dir ->
-          wal_commit_sync_row ~name:"table1/replica/wal-commit-msync"
-            (Replica.Store.mmap ~dir ()));
     ]
   in
   List.rev !rows @ sync_rows
@@ -792,8 +778,6 @@ let microbenches () =
   @ [
       ("table1/chaos/mpool-alloc-hook-off", mpool_alloc_disabled_hook_cost);
       ("table1/chaos/conn-write-frame-baseline", conn_write_frame_cost);
-      ("table1/chaos/conn-write-reply-hook-off",
-       conn_write_reply_disabled_hook_cost);
       ("table1/replica/crc32-64B", crc32_cost);
       ("table1/replica/wal-record-roundtrip", wal_record_roundtrip_cost);
       ("table1/replica/wal-commit-1rec", wal_commit_cost ~batch:1);

@@ -1979,7 +1979,7 @@ let cluster_run_one ~scheme_name ~structure_name ~nnodes ~seed ~churn ~nmig
   let serve id =
     Service.Conn.serve_unix prims.(id).Replica.Primary.svc ~path:paths.(id)
       ~ext:(Cluster.Node.handle nodes.(id))
-      ~ext_defer:Cluster.Node.deferrable ~backend:(`Evloop `Auto) ()
+      ~ext_defer:Cluster.Node.deferrable ()
   in
   let servers = Array.init nnodes serve in
   let eps =

@@ -1,8 +1,9 @@
 (* kvd — the sharded lock-free KV daemon over a Unix socket.
 
    The serving stack is lib/service end to end: length-prefixed frames
-   (Codec) -> per-connection handler domain with a leased client tid
-   (Conn) -> hash-sharded mailboxes drained in batched SMR brackets
+   (Codec) -> one event-loop domain holding every connection on one
+   producer tid (Conn; or per-connection shm rings, Shm_conn) ->
+   hash-sharded mailboxes drained in batched SMR brackets
    (Shard) over the scheme/structure pair picked on the command line.
 
    `kvd --selftest` runs no socket at all: it drives the same stack
@@ -141,6 +142,25 @@ let daemon ~socket ~transport ~loop ~scheme ~structure ~shards ~clients
         (p.Replica.Primary.svc, Some p)
   in
   let ext = Option.map (fun p req -> Replica.Primary.handle p req) primary in
+  (* Self-pipe shutdown: OCaml signal handlers run at allocation/poll
+     points on whichever domain trips them, so tearing down in the
+     handler itself (shutdown, snapshot fsyncs, Primary.stop's domain
+     joins) can deadlock on a channel or service lock the interrupted
+     domain holds.  The handler only flips a flag and writes one
+     pre-allocated byte; the main loop wakes from select and runs the
+     whole teardown in ordinary context.  Installed before the
+     listener exists: a client that signals as soon as the socket
+     appears must get the orderly teardown, never the default
+     action. *)
+  let stopping = Atomic.make false in
+  let wake_rd, wake_wr = Unix.pipe ~cloexec:true () in
+  let wake_byte = Bytes.make 1 '!' in
+  let request_stop _ =
+    if not (Atomic.exchange stopping true) then
+      ignore (Unix.write wake_wr wake_byte 0 1)
+  in
+  Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop);
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
   let server =
     match transport with
     | `Unix ->
@@ -153,7 +173,6 @@ let daemon ~socket ~transport ~loop ~scheme ~structure ~shards ~clients
     clients socket
     (match (transport, loop) with
     | `Shm, _ -> "shm rings"
-    | `Unix, `Threaded -> "unix socket, thread per connection"
     | `Unix, `Evloop p ->
         Printf.sprintf "unix socket, event loop: %s"
           (match p with
@@ -173,24 +192,15 @@ let daemon ~socket ~transport ~loop ~scheme ~structure ~shards ~clients
         (Shmalloc.Arena.nslots a)
         (Shmalloc.Arena.policy_name (Shmalloc.Arena.policy a))
   | None -> ());
-  (* Self-pipe shutdown: OCaml signal handlers run at allocation/poll
-     points on whichever domain trips them, so tearing down in the
-     handler itself (shutdown, snapshot fsyncs, Primary.stop's domain
-     joins) can deadlock on a channel or service lock the interrupted
-     domain holds.  The handler only flips a flag and writes one
-     pre-allocated byte; the main loop wakes from select and runs the
-     whole teardown in ordinary context. *)
-  let stopping = Atomic.make false in
-  let wake_rd, wake_wr = Unix.pipe ~cloexec:true () in
-  let wake_byte = Bytes.make 1 '!' in
-  let request_stop _ =
-    if not (Atomic.exchange stopping true) then
-      ignore (Unix.write wake_wr wake_byte 0 1)
-  in
-  Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop);
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
+  (* The select times out rather than blocking forever.  Under OCaml
+     5.1 a SIGINT sent right after start-up was seen recorded (caught,
+     not pending) with its handler never run, until a second signal
+     arrived.  Leaving the blocking section re-checks the recorded
+     signals, so such a handler runs at the next timeout at the
+     latest. *)
   let rec wait () =
-    match Unix.select [ wake_rd ] [] [] (-1.0) with
+    match Unix.select [ wake_rd ] [] [] 0.25 with
+    | [], _, _ -> if not (Atomic.get stopping) then wait ()
     | _ -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) ->
         if not (Atomic.get stopping) then wait ()
@@ -389,19 +399,17 @@ let loop =
     & opt
         (enum
            [
-             ("threads", `Threaded);
              ("epoll", (`Evloop `Epoll : Service.Conn.backend));
              ("select", `Evloop `Select);
              ("auto", `Evloop `Auto);
            ])
-        `Threaded
-    & info [ "loop" ] ~docv:"BACKEND"
+        (`Evloop `Auto)
+    & info [ "loop" ] ~docv:"POLLER"
         ~doc:
-          "Connection backend for $(b,--transport unix): $(b,threads) (one \
-           handler domain and one leased tid per connection), or an event \
-           loop — $(b,epoll), $(b,select), or $(b,auto) (epoll where \
-           available) — where a single pump domain holds every connection \
-           on one tid, so fan-in is bounded by fds, not domains.")
+          "Readiness poller of the $(b,--transport unix) event loop: \
+           $(b,epoll), $(b,select), or $(b,auto) (epoll where available). \
+           A single pump domain holds every connection on one tid, so \
+           fan-in is bounded by fds, not domains.")
 
 let transport =
   Arg.(
@@ -409,8 +417,8 @@ let transport =
     & opt (enum [ ("unix", `Unix); ("shm", `Shm) ]) `Unix
     & info [ "transport" ] ~docv:"KIND"
         ~doc:
-          "Wire transport: $(b,unix) (socket, one handler domain per \
-           connection) or $(b,shm) (per-connection mmap'd ring pairs \
+          "Wire transport: $(b,unix) (socket, every connection on one \
+           event-loop domain) or $(b,shm) (per-connection mmap'd ring pairs \
            served by one multiplexer domain; no syscall per op under \
            load).  Same frames, same opcodes.")
 
@@ -437,7 +445,10 @@ let clients =
   Arg.(
     value & opt int 8
     & info [ "clients" ] ~docv:"N"
-        ~doc:"Client tid slots = max concurrent connections.")
+        ~doc:
+          "Client tid slots.  Each $(b,--transport shm) connection leases \
+           one, so this caps concurrent shm connections; the unix event \
+           loop holds all of its connections on slot 0.")
 
 let mailbox_cap =
   Arg.(

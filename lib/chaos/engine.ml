@@ -96,10 +96,10 @@ let run cfg (plan : Fault.plan) =
         smr = { Smr.Config.default with Smr.Config.check_uaf = true };
       }
   in
-  (* The driver's control-plane slot.  Socket handlers lease tids from
-     0 upward and at most two connections overlap (one draining churn
-     leftover, one active), so the top slot is never leased — the
-     driver's brackets and any handler's never share a tid. *)
+  (* The driver's control-plane slot.  The socket server's event loop
+     submits every connection under tid 0, so the top slot is never
+     the server's — the driver's brackets and the server's never share
+     a tid. *)
   let driver_tid = cfg.clients - 1 in
   let server =
     if Fault.uses_net plan then begin
@@ -317,9 +317,9 @@ let run cfg (plan : Fault.plan) =
         | Some (_, path) ->
             emit (Fault.event_to_string ev);
             let fd = Service.Conn.connect_unix ~path in
-            (* Two bytes of a length prefix, then vanish: the handler
-               must observe Closed, free the leased tid, and leave the
-               stream position of nobody else disturbed. *)
+            (* Two bytes of a length prefix, then vanish: the event
+               loop must drop that connection and leave the stream
+               position of nobody else disturbed. *)
             (try ignore (Unix.write fd (Bytes.make 2 '\001') 0 2)
              with Unix.Unix_error _ -> ());
             (try Unix.close fd with Unix.Unix_error _ -> ());

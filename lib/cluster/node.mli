@@ -82,8 +82,8 @@ val create :
     precedence — reboot keeps acknowledged cutovers.  [apply_tid] is
     the producer tid migration ingest and the freeze barrier run
     under; reserve it for the node (in particular it must differ from
-    the evloop backend's [evloop_tid]), because the admission filter
-    exempts it.  [quiesce_timeout] (seconds, default 5) bounds the
+    tid 0, which {!Service.Conn.serve_unix} submits under), because
+    the admission filter exempts it.  [quiesce_timeout] (seconds, default 5) bounds the
     [Cl_freeze] barrier wait.  [slot_dirty_cap] (default 16384)
     bounds each per-slot dirty set; past half occupancy it poisons
     and the slot's next outbound ship degrades to full.  Installs the

@@ -115,108 +115,6 @@ let fs ~dir =
   in
   { s_label = "fs:" ^ dir; s_list; s_read; s_source; s_write; s_append; s_delete }
 
-(* ------------------------------------------------------------------ *)
-(* Mmap-backed store: segment files are mapped shared-writable,
-   appends are memcpys into the mapping, and the group-commit sync
-   point is [msync] instead of [fsync].
-
-   The discipline that keeps msync sufficient: file SIZE is made
-   durable eagerly and rarely (ftruncate + fsync once per
-   preallocation step), so the per-commit sync has only page contents
-   to flush — no metadata.  The cost is a zero tail: a crash leaves
-   the last segment preallocated beyond its logical end, which WAL
-   recovery recognizes (an all-zeros tail after the last decodable
-   record is torn residue, never acked history) and trims via its
-   usual torn-tail rewrite.  Rotated segments are truncated to their
-   exact length on close, so only the active segment ever carries the
-   tail. *)
-
-type mapping = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-external msync : mapping -> int -> unit = "ml_store_msync"
-
-external blit_to_map : string -> int -> mapping -> int -> int -> unit
-  = "ml_store_blit"
-
-let map_fd fd size : mapping =
-  Bigarray.array1_of_genarray
-    (Unix.map_file fd Bigarray.char Bigarray.c_layout true [| size |])
-
-let mmap ~dir ?(prealloc = 64 * 1024) () =
-  if prealloc <= 0 then invalid_arg "Store.mmap: prealloc <= 0";
-  let base = fs ~dir in
-  let path name = Filename.concat dir name in
-  (* Atomic publish through the map: exact-size tmp, blit, msync,
-     fsync (size), rename. *)
-  let s_write name contents =
-    let len = String.length contents in
-    let tmp = path (name ^ ".tmp") in
-    let fd =
-      Unix.openfile tmp [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-    in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        if len > 0 then begin
-          Unix.ftruncate fd len;
-          let m = map_fd fd len in
-          blit_to_map contents 0 m 0 len;
-          msync m len
-        end;
-        Unix.fsync fd);
-    Unix.rename tmp (path name)
-  in
-  let s_append name =
-    let fd =
-      Unix.openfile (path name) [ Unix.O_RDWR; Unix.O_CREAT ] 0o644
-    in
-    let len = ref (Unix.fstat fd).Unix.st_size in
-    let cap = ref !len in
-    let m = ref None in
-    let closed = ref false in
-    let grow need =
-      let target = ref (max prealloc !cap) in
-      while !target < need do
-        target := !target * 2
-      done;
-      (* Size first, durably: after this, commits only ever need page
-         contents flushed. *)
-      Unix.ftruncate fd !target;
-      Unix.fsync fd;
-      cap := !target;
-      m := Some (map_fd fd !cap)
-    in
-    {
-      w_append =
-        (fun s ->
-          let n = String.length s in
-          if n > 0 then begin
-            if !len + n > !cap || !m = None then grow (!len + n);
-            (match !m with
-            | Some map -> blit_to_map s 0 map !len n
-            | None -> assert false);
-            len := !len + n
-          end);
-      w_sync =
-        (fun () -> match !m with Some map -> msync map !cap | None -> ());
-      w_close =
-        (fun () ->
-          if not !closed then begin
-            closed := true;
-            (match !m with Some map -> msync map !cap | None -> ());
-            m := None;
-            (* Rotated segments become exact-size: no zero tail to
-               recognize on later scans. *)
-            (try
-               Unix.ftruncate fd !len;
-               Unix.fsync fd
-             with Unix.Unix_error _ -> ());
-            try Unix.close fd with Unix.Unix_error _ -> ()
-          end);
-    }
-  in
-  { base with s_label = "mmap:" ^ dir; s_write; s_append }
-
 module Mem = struct
   (* One buffer per file plus a synced watermark: w_append grows the
      buffer, w_sync advances the watermark, crash truncates back to

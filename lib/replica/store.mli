@@ -49,23 +49,6 @@ val fs : dir:string -> t
 (** Real directory (created, with parents, if missing).  [w_sync] is
     [Unix.fsync]; [s_write] writes [name ^ ".tmp"], fsyncs, renames. *)
 
-val mmap : dir:string -> ?prealloc:int -> unit -> t
-(** Real directory with memory-mapped segment writers: appends are
-    memcpys into a shared mapping and [w_sync] is [msync(MS_SYNC)]
-    instead of [fsync].  Files are preallocated (to [prealloc] bytes,
-    default 64KiB, doubling as needed) with the size fsynced {e once}
-    per growth step, so the per-commit sync never waits on metadata —
-    the fsync-vs-msync WAL rows in bench/main.ml measure the gap.
-
-    Crash-exactness contract: a crash can leave the active segment
-    with a zero tail (preallocated space past the logical end) and/or
-    a torn final record, both of which WAL recovery recognizes and
-    trims; closed (rotated) segments are truncated to exact length
-    first, so only the newest segment ever carries the ambiguity.
-    [s_write] publishes via an exact-size mapped temp file + msync +
-    fsync + rename — the same atomicity as {!fs}.
-    @raise Invalid_argument if [prealloc <= 0]. *)
-
 (** Deterministic in-memory store with explicit crash semantics. *)
 module Mem : sig
   type handle

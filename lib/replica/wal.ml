@@ -83,12 +83,14 @@ let scan_store ~(store : Store.t) ~shard =
       let fail reason =
         raise (Corrupt { shard; segment = name; seq = !expect; reason })
       in
-      (* Preallocated-store residue test: is everything from [from] to
-         EOF zero bytes?  Real frames start with a nonzero length
-         prefix, so acked history can never look like this — an
-         all-zeros rest is the unwritten tail of an mmap-preallocated
-         segment (plus, possibly, a torn final record whose payload
-         read consumed part of it). *)
+      (* Zero-tail residue test: is everything from [from] to EOF zero
+         bytes?  Real frames start with a nonzero length prefix, so
+         acked history can never look like this.  A filesystem can
+         bring a file back from a crash with its size persisted past
+         the last fsync but the new blocks never written (XFS, or ext4
+         with data=writeback): the segment then ends in zeros (plus,
+         possibly, a torn final record whose payload read consumed
+         part of them). *)
       let rest_is_zeros from =
         let rec go i = i >= len || (data.[i] = '\000' && go (i + 1)) in
         go from
@@ -127,17 +129,17 @@ let scan_store ~(store : Store.t) ~shard =
             | exception Codec.Malformed reason ->
                 (* Damaged record: the classic torn tail when the
                    damage runs to EOF in the last segment — directly
-                   (!pos = len), or through the zero tail of an mmap-
-                   preallocated segment (a torn record's payload read
-                   consumed part of it; a zero length prefix reads as
-                   an empty frame -> Malformed here).  A damaged
+                   (!pos = len), or through a crash's zero tail (a
+                   torn record's payload read consumed part of it; a
+                   zero length prefix reads as an empty frame ->
+                   Malformed here).  A damaged
                    record FOLLOWED by non-zero frames is bitrot in
                    acknowledged history, not a tear — commits append
                    in order, so nothing past a tear was ever written —
                    and stays loud even in the newest segment.  In a
                    rotated segment the one benign shape is all zeros
-                   from [frame_start] to EOF (the untrimmed prealloc
-                   tail of a crash between last commit and rotation):
+                   from [frame_start] to EOF (a zero tail the crash
+                   left on a segment that was rotated before it):
                    skipped without a rewrite; if the zeros actually
                    hid acked records, the next segment's first-seq
                    continuity check fails loudly. *)

@@ -149,21 +149,24 @@ let frame buf payload_len fill =
 (* ------------------------------------------------------------------ *)
 (* CRC32 (IEEE 802.3 reflected polynomial, the zlib one) for WAL and
    snapshot records.  Table-driven; OCaml's 63-bit ints hold the
-   32-bit state without boxing. *)
+   32-bit state without boxing.  The table is built eagerly at module
+   initialisation: the first CRCs of a fresh daemon run on several
+   shard consumer domains at once, and forcing a shared [lazy] from
+   two domains concurrently raises [CamlinternalLazy.Undefined] in
+   one of them. *)
 
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32 s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Codec.crc32: range out of bounds";
-  let t = Lazy.force crc_table in
+  let t = crc_table in
   let c = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
     c := t.((!c lxor Char.code (String.unsafe_get s i)) land 0xff) lxor (!c lsr 8)

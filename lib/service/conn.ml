@@ -13,7 +13,7 @@ let rec write_retry fd buf off len =
 
 (* A client vanishing mid-reply must cost its connection, never the
    daemon: with SIGPIPE ignored, writes to a hung-up peer fail with
-   EPIPE, which the per-connection handler already treats as a
+   EPIPE, which the event loop already treats as that connection's
    disconnect.  Idempotent; no-op where SIGPIPE does not exist. *)
 let ignore_sigpipe () =
   try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -36,12 +36,11 @@ let read_frame fd = read_next (reader_of_fd fd)
    not after the last: the caller's reply buffer must be clean on
    every exit — return, [Closed] on a zero-length write, EPIPE from a
    vanished peer, an injected fault — or the next [Codec.encode_reply]
-   on that buffer would prepend the stale reply bytes.  Today every
-   failing write also kills its connection (serve_conn's handler exits
-   its loop), so a dirty buffer would be latent rather than live;
-   clearing eagerly makes the invariant structural instead of
-   accidental.  The buffer is per-connection (created in [serve_conn]
-   / per call elsewhere), never shared across domains. *)
+   on that buffer would prepend the stale reply bytes.  Clearing
+   eagerly makes that invariant structural rather than dependent on
+   every caller dropping its connection after a failed write.  Callers
+   are blocking clients; the server side never blocks on a write (the
+   event loop's nonblocking [ec_flush]). *)
 let write_frame fd buf =
   let b = Buffer.to_bytes buf in
   Buffer.clear buf;
@@ -54,11 +53,12 @@ let write_frame fd buf =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Chaos injection points on the server's reply/read paths.  The
+(* Chaos injection points on the server's reply/read paths (the event
+   loop below, and [Shm_conn]'s ring-level equivalents).  The
    disabled state is the distinguished [Faults.none] instance, checked
    by physical equality before anything else — the same
    zero-cost-when-off discipline as [Obs.Probe.is_noop] /
-   [Smr.Instrument.wrap] (benchmarked in bench/main.ml). *)
+   [Smr.Instrument.wrap]. *)
 
 module Faults = struct
   type t = {
@@ -87,7 +87,7 @@ module Faults = struct
   let arm_close_mid_frame t n = arm t.close_mid_frame n
   let arm_delayed_read t n = arm t.delayed_reads n
 
-  (* Claim one armed unit, resolving races between handler domains. *)
+  (* Claim one armed unit, resolving races between server domains. *)
   let rec take counter =
     let n = Atomic.get counter in
     if n <= 0 then false
@@ -102,134 +102,11 @@ module Faults = struct
   let delay_s t = t.delay_s
 end
 
-(* Deliver the reply under the armed fault, if any.  Both faults write
-   a deliberately incomplete frame and hang up, so the client observes
-   a mid-frame EOF — [close_mid_frame] cuts after the length prefix,
-   [truncate_reply] halfway through the payload. *)
-let write_reply ~faults fd out =
-  if Faults.is_none faults then write_frame fd out
-  else if Faults.take faults.Faults.close_mid_frame then begin
-    (* Clear before the partial write, as in [write_frame]: the write
-       itself can raise (EPIPE races the injected hang-up) and the
-       buffer must not keep the truncated reply either way. *)
-    let b = Buffer.to_bytes out in
-    Buffer.clear out;
-    ignore (write_retry fd b 0 (min 4 (Bytes.length b)));
-    raise Closed
-  end
-  else if Faults.take faults.Faults.truncate_replies then begin
-    let b = Buffer.to_bytes out in
-    Buffer.clear out;
-    let cut = min (Bytes.length b) (4 + ((Bytes.length b - 4) / 2)) in
-    ignore (write_retry fd b 0 cut);
-    raise Closed
-  end
-  else write_frame fd out
-
-(* The request→reply step shared by both server backends: the
-   extension handler (replication / cluster-control opcodes) answers
-   before shard routing; [None] falls through to the data path. *)
-let exec_of ?ext svc ~tid =
-  match ext with
-  | Some h -> (
-      fun req ->
-        match h req with Some r -> r | None -> Shard.call svc ~tid req)
-  | None -> fun req -> Shard.call svc ~tid req
-
-let serve_conn_fn ?(faults = Faults.none) ~exec fd =
-  let out = Buffer.create 64 in
-  (* One persistent decoder per connection: the header scratch lives
-     for the connection, not per frame. *)
-  let rd = reader_of_fd fd in
-  (try
-     let rec loop () =
-       if
-         (not (Faults.is_none faults))
-         && Faults.take faults.Faults.delayed_reads
-       then Unix.sleepf faults.Faults.delay_s;
-       match read_next rd with
-       | None -> ()
-       | Some payload -> (
-           match Codec.request_of_payload payload with
-           | req ->
-               Codec.encode_reply out (exec req);
-               write_reply ~faults fd out;
-               loop ()
-           | exception Codec.Malformed m ->
-               (* Framing survived but the payload is garbage: answer,
-                  then drop the connection — we cannot trust the
-                  stream position any more. *)
-               Codec.encode_reply out (Codec.Error ("malformed: " ^ m));
-               write_reply ~faults fd out)
-     in
-     loop ()
-   with Closed | Codec.Malformed _ | Unix.Unix_error _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let serve_conn ?(faults = Faults.none) ?ext svc ~tid fd =
-  serve_conn_fn ~faults ~exec:(exec_of ?ext svc ~tid) fd
-
-(* ------------------------------------------------------------------ *)
-
-type conn = { c_fd : Unix.file_descr; mutable c_domain : unit Domain.t option }
-
-(* Threaded backend: one handler domain per accepted connection, each
-   leasing an execution context — a producer tid for service-backed
-   servers, a concurrency token for handler-function servers — for the
-   connection's life. *)
-type tserver = {
-  t_listen_fd : Unix.file_descr;
-  t_path : string;
-  t_accepting : bool Atomic.t;
-  t_lease : unit -> ((Codec.request -> Codec.reply) * (unit -> unit)) option;
-  t_conns : conn list ref;
-  t_lock : Mutex.t;
-  mutable t_acceptor : unit Domain.t option;
-  t_stopped : bool Atomic.t;
-  t_faults : Faults.t;
-}
-
-let rec pop_slot slots =
-  match Atomic.get slots with
-  | [] -> None
-  | t :: rest as old ->
-      if Atomic.compare_and_set slots old rest then Some t else pop_slot slots
-
-let rec push_slot slots t =
-  let old = Atomic.get slots in
-  if not (Atomic.compare_and_set slots old (t :: old)) then push_slot slots t
-
 let shed_and_close fd =
   let out = Buffer.create 8 in
   Codec.encode_reply out Codec.Shed;
   (try write_frame fd out with Closed | Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
-
-let accept_loop srv () =
-  while Atomic.get srv.t_accepting do
-    match Unix.accept srv.t_listen_fd with
-    | exception Unix.Unix_error _ -> ()
-    | fd, _ ->
-        if not (Atomic.get srv.t_accepting) then (
-          try Unix.close fd with Unix.Unix_error _ -> ())
-        else begin
-          match srv.t_lease () with
-          | None ->
-              (* Every client slot is leased: connection-level
-                 backpressure, same contract as a full mailbox. *)
-              shed_and_close fd
-          | Some (exec, release) ->
-              let conn = { c_fd = fd; c_domain = None } in
-              Mutex.lock srv.t_lock;
-              srv.t_conns := conn :: !(srv.t_conns);
-              Mutex.unlock srv.t_lock;
-              conn.c_domain <-
-                Some
-                  (Domain.spawn (fun () ->
-                       serve_conn_fn ~faults:srv.t_faults ~exec fd;
-                       release ()))
-        end
-  done
 
 exception Addr_in_use of string
 
@@ -259,60 +136,13 @@ let bind_listen ~path ~backlog =
   Unix.listen listen_fd backlog;
   listen_fd
 
-let serve_threaded ~path ~backlog ~faults ~lease =
-  let listen_fd = bind_listen ~path ~backlog in
-  let srv =
-    {
-      t_listen_fd = listen_fd;
-      t_path = path;
-      t_accepting = Atomic.make true;
-      t_lease = lease;
-      t_conns = ref [];
-      t_lock = Mutex.create ();
-      t_acceptor = None;
-      t_stopped = Atomic.make false;
-      t_faults = faults;
-    }
-  in
-  srv.t_acceptor <- Some (Domain.spawn (accept_loop srv));
-  srv
-
 let connect_unix ~path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX path);
   fd
 
-let shutdown_threaded srv =
-  if Atomic.compare_and_set srv.t_stopped false true then begin
-    Atomic.set srv.t_accepting false;
-    (* Wake a blocked accept: shutdown the listener, and self-connect
-       in case the platform's accept does not notice the shutdown. *)
-    (try Unix.shutdown srv.t_listen_fd Unix.SHUTDOWN_ALL
-     with Unix.Unix_error _ -> ());
-    (try Unix.close (connect_unix ~path:srv.t_path) with
-    | Unix.Unix_error _ -> ());
-    (match srv.t_acceptor with
-    | Some d ->
-        Domain.join d;
-        srv.t_acceptor <- None
-    | None -> ());
-    (try Unix.close srv.t_listen_fd with Unix.Unix_error _ -> ());
-    (* The acceptor is joined, so the connection list is final and
-       every c_domain is set. *)
-    List.iter
-      (fun c ->
-        try Unix.shutdown c.c_fd Unix.SHUTDOWN_ALL
-        with Unix.Unix_error _ -> ())
-      !(srv.t_conns);
-    List.iter
-      (fun c -> match c.c_domain with Some d -> Domain.join d | None -> ())
-      !(srv.t_conns);
-    srv.t_conns := [];
-    try Unix.unlink srv.t_path with Unix.Unix_error _ -> ()
-  end
-
 (* ------------------------------------------------------------------ *)
-(* Event-loop backend: one pump domain owns every connection — accept,
+(* The unix-socket server: one pump domain owns every connection — accept,
    nonblocking reads into per-connection buffers, the shared
    [Codec.frame_reader] state machine over those buffers, submission
    to the shard mailboxes under a single leased producer tid, and
@@ -320,12 +150,10 @@ let shutdown_threaded srv =
    consumers hand completions back through a lock-free stack plus a
    wake pipe, so the pump never blocks while work is pending.
 
-   Fan-in economics: the threaded backend costs a domain and a leased
-   tid per connection, capping daemons at tens of clients; here the
-   whole loop is one domain and one tid (the pump is one submitter —
-   transparent schemes need nothing more), so the connection count is
-   bounded by [max_conns] and fd limits, not by [Shard.t.clients] or
-   the runtime's domain cap. *)
+   Fan-in economics: the whole loop is one domain and one producer tid
+   (tid 0 — the pump is one submitter, and transparent schemes need
+   nothing more), so the connection count is bounded by a 1024 cap and
+   fd limits, not by [Shard.t.clients] or the runtime's domain cap. *)
 
 type econn = {
   ec_fd : Unix.file_descr;
@@ -350,13 +178,12 @@ type econn = {
   mutable ec_delay_until : float;  (* injected fault: slow peer *)
 }
 
-type eserver = {
+type server = {
   e_svc : Shard.t;
   e_listen : Unix.file_descr;
   e_path : string;
   e_poll : Poller.t;
   e_conns : (int, econn) Hashtbl.t;  (* raw fd -> conn; pump domain only *)
-  e_tid : int;
   e_exec : Codec.request -> Codec.reply option;
       (* the ext fast path; [None] falls through to an async submit *)
   e_completions : (econn * int * Codec.reply) list Atomic.t;
@@ -392,15 +219,18 @@ let ec_low = 64 * 1024
 
 (* Pending-queue watermarks: a connection pipelining faster than its
    shards drain accumulates parsed-but-unsubmitted requests.  All
-   connections share one producer tid here, so a full mailbox is the
-   norm under pipelining, not an overload signal the way it is for
-   threaded connections (one in-flight request per tid each) — the
-   pump therefore holds refused requests and retries in arrival order
-   rather than answering [Shed].  Past [ec_pending_high] it also
+   connections share one producer tid, so a full mailbox is the norm
+   under pipelining, not an overload signal — the pump therefore
+   holds refused requests and retries in arrival order rather than
+   answering [Shed].  Past [ec_pending_high] it also
    stops reading from the connection until the queue drains below
    [ec_pending_low], so the backpressure reaches the peer's socket. *)
 let ec_pending_high = 1024
 let ec_pending_low = 256
+
+(* Every connection's requests are submitted under this one producer
+   tid; callers reserve it for the server. *)
+let pump_tid = 0
 
 let enqueue_completion srv c seq reply =
   let rec push () =
@@ -499,10 +329,11 @@ let ec_append_out c b off len =
   c.ec_oend <- c.ec_oend + len
 
 (* Stage [reply] for [seq] and move every now-contiguous reply from
-   the reorder window onto the out buffer, in request order — the
-   byte-trace contract with the threaded backend.  Injected reply
-   faults cut the frame exactly as the threaded [write_reply] does,
-   then close after the cut bytes drain. *)
+   the reorder window onto the out buffer, in request order, so a
+   connection's reply trace is the one a lockstep client would see.
+   Injected reply faults cut the frame (after the length prefix, or
+   halfway through the payload) and close after the cut bytes drain:
+   the client observes a mid-frame EOF. *)
 let ec_complete srv c seq reply =
   if not c.ec_dead then begin
     Hashtbl.replace c.ec_done seq reply;
@@ -548,8 +379,7 @@ let ec_complete srv c seq reply =
 
 (* Run the ext handler, never letting its exception reach the pump:
    an ext that raises costs its request an [Error] reply, not the
-   event loop (parity with the threaded backend, where it would cost
-   at most its own connection's domain). *)
+   event loop and every connection on it. *)
 let ec_exec_ext srv req =
   match srv.e_exec req with
   | r -> r
@@ -585,7 +415,7 @@ let ec_submit_pending srv c =
         ec_complete srv c seq r
     | None ->
         let shed = ref false in
-        srv.e_svc.Shard.submit ~tid:srv.e_tid req (fun reply ->
+        srv.e_svc.Shard.submit ~tid:pump_tid req (fun reply ->
             match reply with
             | Codec.Shed -> shed := true
             | r -> enqueue_completion srv c seq r);
@@ -608,8 +438,9 @@ let ec_dispatch srv c payload =
   c.ec_next_seq <- seq + 1;
   match Codec.request_of_payload payload with
   | exception Codec.Malformed m ->
-      (* Same contract as the threaded path: answer, then drop the
-         connection — the stream position cannot be trusted. *)
+      (* Framing survived but the payload is garbage: answer, then
+         drop the connection — the stream position cannot be
+         trusted. *)
       c.ec_eof <- true;
       ec_update_interest srv c;
       ec_complete srv c seq (Codec.Error ("malformed: " ^ m))
@@ -894,10 +725,11 @@ and ec_pump_pass srv drain =
         (Hashtbl.copy srv.e_conns)
   end
 
-let serve_evloop svc ~path ~backlog ~faults ?ext ?ext_defer ~poller ~max_conns
-    ~tid () =
-  if tid < 0 || tid >= svc.Shard.clients then
-    invalid_arg "Conn.serve_unix: evloop tid outside the client range";
+type backend = [ `Evloop of Poller.backend ]
+
+let serve_unix svc ~path ?(backlog = 16) ?(faults = Faults.none) ?ext
+    ?ext_defer ?(backend = `Evloop `Auto) () =
+  let (`Evloop poller) = backend in
   let listen_fd = bind_listen ~path ~backlog in
   Unix.set_nonblock listen_fd;
   let wake_r, wake_w = Unix.pipe () in
@@ -907,7 +739,7 @@ let serve_evloop svc ~path ~backlog ~faults ?ext ?ext_defer ~poller ~max_conns
   (* The select fallback cannot watch fd values past FD_SETSIZE:
      clamp the connection cap below the wall (accept re-checks the
      actual fd value and sheds strays). *)
-  let max_conns = min max_conns (Poller.max_fds poll) in
+  let max_conns = min 1024 (Poller.max_fds poll) in
   let exec =
     match ext with Some h -> h | None -> fun _ -> None
   in
@@ -918,7 +750,6 @@ let serve_evloop svc ~path ~backlog ~faults ?ext ?ext_defer ~poller ~max_conns
       e_path = path;
       e_poll = poll;
       e_conns = Hashtbl.create 64;
-      e_tid = tid;
       e_exec = exec;
       e_completions = Atomic.make [];
       e_wake_r = wake_r;
@@ -946,7 +777,7 @@ let serve_evloop svc ~path ~backlog ~faults ?ext ?ext_defer ~poller ~max_conns
   | None -> ());
   srv
 
-let shutdown_evloop srv =
+let shutdown srv =
   if Atomic.compare_and_set srv.e_stopped false true then begin
     Atomic.set srv.e_stop true;
     (try ignore (Unix.write srv.e_wake_w (Bytes.make 1 '!') 0 1)
@@ -969,54 +800,7 @@ let shutdown_evloop srv =
     try Unix.unlink srv.e_path with Unix.Unix_error _ -> ()
   end
 
-(* ------------------------------------------------------------------ *)
-
-type server =
-  | Threaded of tserver * Faults.t
-  | Evloop of eserver
-
-type backend = [ `Threaded | `Evloop of Poller.backend ]
-
-let serve_unix svc ~path ?(backlog = 16) ?(faults = Faults.none) ?ext
-    ?ext_defer ?(backend = `Threaded) ?(max_conns = 1024) ?(evloop_tid = 0) ()
-    =
-  match backend with
-  | `Threaded ->
-      (* [ext_defer] is evloop-only: a threaded connection's handler
-         domain may block in the ext handler without stalling anyone
-         else. *)
-      ignore ext_defer;
-      let tids = Atomic.make (List.init svc.Shard.clients Fun.id) in
-      let lease () =
-        match pop_slot tids with
-        | None -> None
-        | Some tid ->
-            Some (exec_of ?ext svc ~tid, fun () -> push_slot tids tid)
-      in
-      Threaded (serve_threaded ~path ~backlog ~faults ~lease, faults)
-  | `Evloop poller ->
-      Evloop
-        (serve_evloop svc ~path ~backlog ~faults ?ext ?ext_defer ~poller
-           ~max_conns ~tid:evloop_tid ())
-
-let serve_unix_fn ~handler ~path ?(backlog = 16) ?(faults = Faults.none)
-    ?(max_conns = 64) () =
-  (* Handler-function server (the cluster proxy): thread per
-     connection — the handler may block on upstream daemons — with a
-     token pool instead of tid leases. *)
-  let tokens = Atomic.make (List.init max_conns Fun.id) in
-  let lease () =
-    match pop_slot tokens with
-    | None -> None
-    | Some tok -> Some (handler, fun () -> push_slot tokens tok)
-  in
-  Threaded (serve_threaded ~path ~backlog ~faults ~lease, faults)
-
-let shutdown = function
-  | Threaded (t, _) -> shutdown_threaded t
-  | Evloop e -> shutdown_evloop e
-
-let faults = function Threaded (_, f) -> f | Evloop e -> e.e_faults
+let faults srv = srv.e_faults
 
 let call_fd fd req =
   let out = Buffer.create 32 in

@@ -8,11 +8,14 @@
       without sockets or nondeterministic interleaving in the
       transport itself.
     - Unix-domain sockets ({!serve_unix}/{!connect_unix}): the real
-      daemon path used by [bin/kvd.exe], one handler domain per
-      connection, producer tids leased from the service's client-slot
-      pool (connection churn exercises transparent attach/detach).
+      daemon path used by [bin/kvd.exe] — one event-loop domain holds
+      every connection and submits them all under one producer tid
+      (the paper's transparency: a reader needs no registration, so
+      connections need none either).
     - Shared memory ([Shm_conn], its own module — same frames, over
-      mmap'd SPSC rings with no syscall per op on the hot path).
+      mmap'd SPSC rings with no syscall per op on the hot path; each
+      connection leases its own producer tid, so connection churn
+      exercises transparent attach/detach).
     - {!Zerocopy}: in-process GETs that skip the codec entirely and
       read the live maps inside a bracket — the SMR scheme as the
       client/daemon isolation boundary. *)
@@ -33,7 +36,7 @@ module Faults : sig
       The disabled state is the distinguished {!none} instance,
       recognized by physical equality before any counter is read —
       the hook costs nothing when chaos is off (same discipline as
-      [Obs.Probe.is_noop]; measured in bench/main.ml). *)
+      [Obs.Probe.is_noop]). *)
 
   type t
 
@@ -88,40 +91,8 @@ val write_frame : Unix.file_descr -> Buffer.t -> unit
     The buffer is cleared on {e every} exit, including a raising one
     ([Closed] on a zero-length write, [Unix_error] from a vanished
     peer): it is snapshotted and cleared before the first byte goes
-    out, so a reused per-connection buffer can never prepend a stale
-    reply to the next one. *)
-
-val write_reply : faults:Faults.t -> Unix.file_descr -> Buffer.t -> unit
-(** {!write_frame} under the armed fault, if any: truncate-reply and
-    close-mid-frame write a deliberately incomplete frame and raise
-    {!Closed} — with the same clear-on-every-exit buffer contract as
-    {!write_frame}.  With {!Faults.none} this is one
-    physical-equality check on top of {!write_frame} (benchmarked in
-    bench/main.ml). *)
-
-val serve_conn :
-  ?faults:Faults.t ->
-  ?ext:(Codec.request -> Codec.reply option) ->
-  Shard.t ->
-  tid:int ->
-  Unix.file_descr ->
-  unit
-(** Request/reply loop on an accepted connection until EOF; malformed
-    frames get an [Error] reply, then the connection closes.  Closes
-    the descriptor.  Never raises.  [faults] (default {!Faults.none})
-    injects server-side transport faults.  [ext] is consulted before
-    shard routing — a [Some] reply answers the request directly (the
-    replication and cluster-control opcodes are served this way, off
-    the data path); [None] falls through to [Shard.call]. *)
-
-val serve_conn_fn :
-  ?faults:Faults.t ->
-  exec:(Codec.request -> Codec.reply) ->
-  Unix.file_descr ->
-  unit
-(** {!serve_conn} generalized over the request executor — the
-    blocking per-connection loop under any handler (the cluster proxy
-    serves its router through this). *)
+    out, so a reused buffer can never prepend a stale frame to the
+    next one. *)
 
 type server
 
@@ -129,21 +100,17 @@ exception Addr_in_use of string
 (** {!serve_unix}: the socket path is owned by a {e live} daemon (a
     connect probe succeeded) — refusing to clobber it. *)
 
-type backend = [ `Threaded | `Evloop of Poller.backend ]
-(** How the unix-socket server holds its connections:
-
-    - [`Threaded]: one handler domain per connection, each leasing a
-      producer tid for its life; all [Shard.t.clients] tids in use ⇒
-      new connections get one [Shed] reply and close.  Fan-in is
-      bounded by the tid pool and the runtime's domain count.
-    - [`Evloop p]: a single pump domain drives every connection
-      through a readiness poller [p] ({!Poller.backend}) —
-      nonblocking fds, per-connection {!Codec.frame_reader} state
-      machines, batched submits under {e one} leased tid, ordered
-      nonblocking reply writes with short-write resume and
-      per-connection error containment.  Fan-in is bounded by
-      [max_conns] and fd limits only; beyond [max_conns] new
-      connections get one [Shed] reply and close. *)
+type backend = [ `Evloop of Poller.backend ]
+(** The readiness poller under the unix-socket server
+    ({!Poller.backend}: [`Epoll], [`Select], or [`Auto] — epoll where
+    available).  A single pump domain drives every connection:
+    nonblocking fds, per-connection {!Codec.frame_reader} state
+    machines, batched submits under {e one} producer tid (tid 0 —
+    reserve it for the server), ordered nonblocking reply writes with
+    short-write resume, and per-connection error containment.  Fan-in
+    is bounded by 1024 connections (clamped below FD_SETSIZE on the
+    select poller) and fd limits only; beyond that, new connections
+    get one [Shed] reply and close. *)
 
 val serve_unix :
   Shard.t ->
@@ -153,20 +120,19 @@ val serve_unix :
   ?ext:(Codec.request -> Codec.reply option) ->
   ?ext_defer:(Codec.request -> bool) ->
   ?backend:backend ->
-  ?max_conns:int ->
-  ?evloop_tid:int ->
   unit ->
   server
-(** Bind+listen on a unix-domain socket and serve it with [backend]
-    (default [`Threaded]).  An existing socket file is connect-probed
-    first: stale (crashed daemon) → unlinked and claimed; live →
-    {!Addr_in_use}, the incumbent keeps it.  [ext] is consulted
-    before shard routing on every connection.  [max_conns] (default
-    1024, clamped below FD_SETSIZE on the select poller) and
-    [evloop_tid] (the pump's producer tid, default 0 — reserve it for
-    the server) apply to the [`Evloop] backend.
+(** Bind+listen on a unix-domain socket and serve it on the event loop
+    with [backend]'s poller (default [`Evloop `Auto]).  An existing
+    socket file is connect-probed first: stale (crashed daemon) →
+    unlinked and claimed; live → {!Addr_in_use}, the incumbent keeps
+    it.  [ext] is consulted before shard routing on every connection;
+    a [Some] reply answers the request directly (the replication and
+    cluster-control opcodes are served this way, off the data path),
+    [None] falls through to the shard mailboxes.  Malformed frames get
+    an [Error] reply, then the connection closes.
 
-    [`Evloop] contracts on [ext]:
+    Contracts on [ext]:
 
     - {b Purity on declined requests}: the handler may be consulted
       more than once for a request it answers [None] — once at
@@ -182,27 +148,12 @@ val serve_unix :
       the node's control lock): they execute on a dedicated worker
       domain, in arrival order, completing through the same
       completion stack as the shard consumers — the pump never
-      blocks on them.  [ext_defer] is ignored by the [`Threaded]
-      backend (each connection's domain may block freely).
+      blocks on them.
     - An ext handler that raises costs that request an [Error] reply,
       never the pump. *)
 
-val serve_unix_fn :
-  handler:(Codec.request -> Codec.reply) ->
-  path:string ->
-  ?backlog:int ->
-  ?faults:Faults.t ->
-  ?max_conns:int ->
-  unit ->
-  server
-(** A unix-socket server over a plain handler function instead of a
-    {!Shard.t} — thread per connection (the handler may block on
-    upstream daemons), at most [max_conns] (default 64) concurrent;
-    beyond that, connections get one [Shed] reply and close.  The
-    cluster proxy serves dumb clients through this. *)
-
 val shutdown : server -> unit
-(** Stop accepting, wake the accept loop / pump, join server domains,
+(** Stop accepting, wake the pump, join server domains,
     unlink the socket path.  Idempotent.  Does NOT stop the service. *)
 
 val faults : server -> Faults.t

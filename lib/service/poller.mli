@@ -9,7 +9,7 @@
     [`Auto] picks epoll where available.
 
     Not thread-safe: a poller belongs to the single pump domain of its
-    event loop ({!Conn.serve_unix} with the [`Evloop] backend). *)
+    event loop ({!Conn.serve_unix}). *)
 
 type backend = [ `Auto | `Epoll | `Select ]
 
@@ -35,7 +35,7 @@ val max_fds : t -> int
 (** Advisory cap on concurrently-watched descriptors: unbounded for
     epoll, comfortably below FD_SETSIZE for select (headroom for the
     process's other descriptors — WAL segments, listeners, pipes).
-    Event-loop servers clamp their [max_conns] with this. *)
+    Event-loop servers clamp their connection cap with this. *)
 
 val add : t -> Unix.file_descr -> read:bool -> write:bool -> unit
 (** Register a descriptor with the given interest set.

@@ -11,10 +11,10 @@
    from a dead peer (or a re-used name) fails [Bad_segment] and is
    swept, never conversed with.
 
-   The daemon runs ONE multiplexer domain for every connection —
-   where the unix transport spawns a handler domain per client that
-   makes ~6 syscalls per op (read, write, and the poll-sleeps inside
-   the synchronous Shard.call).  The multiplexer pumps each
+   The daemon runs ONE multiplexer domain for every connection, as
+   the unix transport's event loop does — but where the event loop
+   still pays a read and a write syscall per op, the multiplexer
+   touches no descriptor under load.  It pumps each
    connection's request ring, submits asynchronously to the shard
    service, and emits replies in request order from a per-connection
    reorder window, so one domain stays work-conserving across every
@@ -365,8 +365,9 @@ type server = {
   acc_buf : Buffer.t;  (* partial announce lines *)
   mutable mux : unit Domain.t option;
   stopped : bool Atomic.t;
-  (* Free producer-tid slots, leased per connection as on the socket
-     path (transparent attach/detach). *)
+  (* Free producer-tid slots, leased per connection (transparent
+     attach/detach; the socket event loop instead holds every
+     connection on one tid). *)
   tids : int list Atomic.t;
 }
 

@@ -304,7 +304,7 @@ let test_migration_under_load () =
     Array.init 2 (fun id ->
         Service.Conn.serve_unix prims.(id).Replica.Primary.svc ~path:paths.(id)
           ~ext:(Node.handle nodes.(id))
-          ~ext_defer:Node.deferrable ~backend:(`Evloop `Auto) ())
+          ~ext_defer:Node.deferrable ())
   in
   let eps = Array.init 2 (fun id -> Router.endpoint ~id ~path:paths.(id)) in
   let router = Router.create ~nslots ~endpoints:(Array.to_list eps) () in

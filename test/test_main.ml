@@ -1,3 +1,8 @@
+(* Child mode for tests that re-execute this binary in a fresh process. *)
+let () =
+  if Sys.getenv_opt Test_replica.crc_race_env <> None then
+    exit (Test_replica.crc_race_child ())
+
 let () =
   Alcotest.run "hyaline-repro"
     (List.concat

@@ -22,6 +22,53 @@ let test_crc32_vector () =
     "crc32 check vector" 0xCBF43926
     (Codec.crc32 "123456789" ~pos:0 ~len:9)
 
+(* A fresh daemon's first CRCs run on several shard consumer domains
+   at once (the first WAL records of two shards).  The race only
+   exists on a process's very first CRC, so each trial is a fresh
+   child process — this test binary re-executed with
+   [crc_race_env] set — whose domains all make their first
+   [Codec.crc32] call together; each must return the check vector. *)
+let crc_race_env = "HYALINE_TEST_CRC_RACE_CHILD"
+
+let crc_race_child () =
+  let ndomains = 4 in
+  let ready = Atomic.make 0 and go = Atomic.make false in
+  let racer () =
+    Atomic.incr ready;
+    while not (Atomic.get go) do
+      Domain.cpu_relax ()
+    done;
+    match Codec.crc32 "123456789" ~pos:0 ~len:9 with
+    | v -> v = 0xCBF43926
+    | exception e ->
+        prerr_endline ("first crc32 raised " ^ Printexc.to_string e);
+        false
+  in
+  let ds = List.init ndomains (fun _ -> Domain.spawn racer) in
+  while Atomic.get ready < ndomains do
+    Domain.cpu_relax ()
+  done;
+  Atomic.set go true;
+  let results = List.map Domain.join ds in
+  if List.for_all Fun.id results then 0 else 1
+
+let test_crc32_first_use_race () =
+  let env = Array.append (Unix.environment ()) [| crc_race_env ^ "=1" |] in
+  let trials = 20 in
+  let failed = ref 0 in
+  for _ = 1 to trials do
+    let pid =
+      Unix.create_process_env Sys.executable_name
+        [| Sys.executable_name |]
+        env Unix.stdin Unix.stdout Unix.stderr
+    in
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _ -> incr failed
+  done;
+  Alcotest.(check int) "fresh processes whose first racing crc32 failed" 0
+    !failed
+
 let frame_payloads s =
   let payloads, tail =
     Codec.fold_frames (Codec.string_source s) (fun acc p -> p :: acc) []
@@ -382,7 +429,7 @@ let test_wal_missing_segment () =
 (* A CRC-damaged record FOLLOWED by well-formed frames is bitrot in
    acknowledged history, not a tear — loud even in the newest segment.
    Truncation is reserved for damage that runs to EOF (directly, or
-   through an mmap zero tail). *)
+   through a crash's zero tail). *)
 let test_wal_last_segment_midrot_is_loud () =
   let build () =
     let store, _ = Store.Mem.create () in
@@ -1189,73 +1236,36 @@ let test_bootstrap_chain_bindings_not_dirty () =
   Alcotest.(check (list (pair int int))) "state = oracle" expected live
 
 (* ------------------------------------------------------------------ *)
-(* Mmap store: basics and seeded crash-exactness fuzz *)
+(* Real-disk crash shapes: zero tails and a seeded crash fuzz *)
 
-let with_tmp_dir tag f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "hyrepro-%s-%d-%x" tag (Unix.getpid ())
-         (Hashtbl.hash (Unix.gettimeofday ())))
+(* A filesystem can bring a segment back from a crash with its size
+   persisted past the last fsync but the new blocks never written: the
+   file ends in zeros.  These fixtures append the zeros by hand. *)
+let append_zeros dir name n =
+  let fd =
+    Unix.openfile (Filename.concat dir name) [ Unix.O_WRONLY; Unix.O_APPEND ] 0
   in
-  Unix.mkdir dir 0o755;
   Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun n -> try Sys.remove (Filename.concat dir n) with Sys_error _ -> ())
-        (try Sys.readdir dir with Sys_error _ -> [||]);
-      try Unix.rmdir dir with Unix.Unix_error _ -> ())
-    (fun () -> f dir)
+    ~finally:(fun () -> Unix.close fd)
+    (fun () -> ignore (Unix.write fd (Bytes.make n '\000') 0 n))
 
-let test_mmap_store_basics () =
-  with_tmp_dir "mmap-basics" @@ fun dir ->
-  let store = Store.mmap ~dir ~prealloc:64 () in
-  (* Atomic publish + streaming read. *)
-  store.Store.s_write "snap-a" "hello snapshot";
-  Alcotest.(check string) "publish then read" "hello snapshot"
-    (store.Store.s_read "snap-a");
-  let read, close = store.Store.s_source "snap-a" in
-  let buf = Bytes.create 5 in
-  let n = read buf 0 5 in
-  close ();
-  Alcotest.(check string) "source streams" "hello" (Bytes.sub_string buf 0 n);
-  (* Appends grow past prealloc and close trims to exact size. *)
-  let w = store.Store.s_append "seg-1" in
-  let chunk = String.make 50 'x' in
-  for _ = 1 to 4 do
-    w.Store.w_append chunk
-  done;
-  w.Store.w_sync ();
-  (* Before close the on-disk file carries the preallocated tail... *)
-  let raw = store.Store.s_read "seg-1" in
-  Alcotest.(check bool) "prealloc tail visible before close" true
-    (String.length raw >= 200);
-  Alcotest.(check string) "synced prefix intact" (String.concat "" [ chunk; chunk; chunk; chunk ])
-    (String.sub raw 0 200);
-  w.Store.w_close ();
-  (* ...and close trims rotated segments to exact length. *)
-  Alcotest.(check int) "close trims to exact size" 200
-    (String.length (store.Store.s_read "seg-1"));
-  Alcotest.(check (list string)) "list sees both" [ "seg-1"; "snap-a" ]
-    (List.sort compare (store.Store.s_list ()));
-  store.Store.s_delete "seg-1";
-  Alcotest.(check (list string)) "delete works" [ "snap-a" ]
-    (store.Store.s_list ())
-
-let test_mmap_wal_prealloc_tail () =
-  (* A crash mid-segment leaves the mmap prealloc zero tail on disk;
-     recovery must trim it as a torn tail, keeping every record. *)
-  with_tmp_dir "mmap-tail" @@ fun dir ->
-  let store = Store.mmap ~dir ~prealloc:4096 () in
+let test_wal_last_segment_zero_tail () =
+  (* A crash leaves the only (last) segment with a zero tail; recovery
+     must trim it as a torn tail, keeping every record. *)
+  with_tmp_dir @@ fun dir ->
+  let store = Store.fs ~dir in
   let w, _ = Wal.open_ ~store ~shard:0 () in
   append_run w 1 20;
-  (* Abandon the writer without close: exactly what a crash leaves —
-     the data is msync'd, the prealloc tail is still zeros. *)
-  let store2 = Store.mmap ~dir ~prealloc:4096 () in
+  Wal.close w;
+  let seg =
+    List.find (fun n -> Filename.check_suffix n ".seg") (store.Store.s_list ())
+  in
+  append_zeros dir seg 4096;
+  let store2 = Store.fs ~dir in
   let records, r = Wal.scan ~store:store2 ~shard:0 in
   Alcotest.(check int) "every committed record survives" 20 (List.length records);
-  Alcotest.(check bool) "the zero tail was recognized as torn" true
-    (r.Wal.r_truncated_bytes > 0);
+  Alcotest.(check int) "the zero tail was recognized as torn" 4096
+    r.Wal.r_truncated_bytes;
   (* Recovery via open_ republishes a clean exact-size log. *)
   let w2, r2 = Wal.open_ ~store:store2 ~shard:0 () in
   Alcotest.(check int) "reopen keeps the records" 20 r2.Wal.r_records;
@@ -1263,19 +1273,16 @@ let test_mmap_wal_prealloc_tail () =
   Wal.close w2;
   let _, r3 = Wal.scan ~store:store2 ~shard:0 in
   Alcotest.(check int) "appendable after recovery" 25 r3.Wal.r_records;
-  Alcotest.(check int) "clean rescan" 0 r3.Wal.r_truncated_bytes;
-  Wal.close w
+  Alcotest.(check int) "clean rescan" 0 r3.Wal.r_truncated_bytes
 
-let test_mmap_rotated_zero_tail () =
-  (* A rotated-but-untrimmed segment (crash between the last commit
-     and the rotation's trim) reads as real frames + a zero tail in a
-     non-final segment: the scan skips the zeros without a rewrite,
-     and the cross-segment seq continuity check still guards real
+let test_wal_rotated_zero_tail () =
+  (* A zero tail on a rotated (non-final) segment reads as real
+     frames + zeros: the scan skips the zeros without a rewrite, and
+     the cross-segment seq continuity check still guards real
      holes. *)
-  with_tmp_dir "mmap-rot" @@ fun dir ->
+  with_tmp_dir @@ fun dir ->
   (* Build a multi-segment log in Mem, then lay it out on disk with a
-     zero tail glued onto a non-final segment — the exact layout such
-     a crash leaves on the mmap store. *)
+     zero tail appended to a non-final segment. *)
   let mem, _ = Store.Mem.create () in
   let w, _ = Wal.open_ ~store:mem ~shard:0 ~segment_bytes:256 () in
   for run = 0 to 8 do
@@ -1286,14 +1293,9 @@ let test_mmap_rotated_zero_tail () =
     List.filter (fun n -> Filename.check_suffix n ".seg") (mem.Store.s_list ())
   in
   Alcotest.(check bool) "multi-segment fixture" true (List.length segs > 2);
-  let disk = Store.fs ~dir in
-  List.iteri
-    (fun i name ->
-      let data = mem.Store.s_read name in
-      let data = if i = 1 then data ^ String.make 300 '\000' else data in
-      disk.Store.s_write name data)
-    segs;
-  let store = Store.mmap ~dir ~prealloc:2048 () in
+  let store = Store.fs ~dir in
+  List.iter (fun name -> store.Store.s_write name (mem.Store.s_read name)) segs;
+  append_zeros dir (List.nth segs 1) 300;
   let records, r = Wal.scan ~store ~shard:0 in
   Alcotest.(check int) "all records survive the untrimmed rotation" 45
     (List.length records);
@@ -1304,14 +1306,14 @@ let test_mmap_rotated_zero_tail () =
   | _ -> Alcotest.fail "hole went unnoticed"
   | exception Wal.Corrupt _ -> ()
 
-let test_mmap_crash_fuzz () =
-  (* Seeded end-to-end crash fuzz on the mmap store: random ops,
+let test_fs_crash_fuzz () =
+  (* Seeded end-to-end crash fuzz on the real-disk store: random ops,
      random delta/full snapshots (chain state on disk), a torn group
      commit, a kill, and a reboot — recovered state must equal the
      oracle replay of exactly the acked history, every seed. *)
   for seed = 0 to 3 do
-    with_tmp_dir (Printf.sprintf "mmap-fuzz-%d" seed) @@ fun dir ->
-    let store = Store.mmap ~dir ~prealloc:2048 () in
+    with_tmp_dir @@ fun dir ->
+    let store = Store.fs ~dir in
     let rng = Prims.Rng.create ~seed:(3000 + seed) in
     let ops = ref [] in
     let p, _ =
@@ -1350,7 +1352,7 @@ let test_mmap_crash_fuzz () =
     done;
     Primary.kill p;
     (* Reboot mid-chain from the real directory. *)
-    let store2 = Store.mmap ~dir ~prealloc:2048 () in
+    let store2 = Store.fs ~dir in
     let p2, _ =
       Primary.create ~structure:hashmap ~scheme:hyaline ~delta:true
         (mk_cfg ()) ~store:store2 ()
@@ -1360,7 +1362,7 @@ let test_mmap_crash_fuzz () =
     Primary.stop p;
     let expected = Chaos.Oracle.replay_state ~ops:(List.rev !ops) in
     Alcotest.(check (list (pair int int)))
-      (Printf.sprintf "seed %d: mmap recovery = acked history exactly" seed)
+      (Printf.sprintf "seed %d: fs recovery = acked history exactly" seed)
       expected recovered
   done
 
@@ -1369,6 +1371,8 @@ let suites =
     ( "replica codec",
       [
         Alcotest.test_case "crc32 check vector" `Quick test_crc32_vector;
+        Alcotest.test_case "crc32 first use races domains" `Quick
+          test_crc32_first_use_race;
         Alcotest.test_case "wal record roundtrip" `Quick
           test_wal_record_roundtrip;
         Alcotest.test_case "every bit flip detected" `Quick
@@ -1383,8 +1387,6 @@ let suites =
       [
         Alcotest.test_case "mem crash semantics" `Quick test_mem_store_crash;
         Alcotest.test_case "fs append and atomic publish" `Quick test_fs_store;
-        Alcotest.test_case "mmap append, trim, publish, source" `Quick
-          test_mmap_store_basics;
       ] );
     ( "replica dirty",
       [
@@ -1408,6 +1410,10 @@ let suites =
           test_wal_missing_segment;
         Alcotest.test_case "last-segment mid-rot is loud" `Quick
           test_wal_last_segment_midrot_is_loud;
+        Alcotest.test_case "last-segment zero tail trims" `Quick
+          test_wal_last_segment_zero_tail;
+        Alcotest.test_case "rotated zero tail skipped, holes loud" `Quick
+          test_wal_rotated_zero_tail;
       ] );
     ( "replica snapshot",
       [
@@ -1445,14 +1451,7 @@ let suites =
           test_full_snapshot_failure_keeps_dirty;
         Alcotest.test_case "boot chain bindings stay clean" `Quick
           test_bootstrap_chain_bindings_not_dirty;
-      ] );
-    ( "replica mmap",
-      [
-        Alcotest.test_case "prealloc zero tail trims" `Quick
-          test_mmap_wal_prealloc_tail;
-        Alcotest.test_case "rotated zero tail skipped, holes loud" `Quick
-          test_mmap_rotated_zero_tail;
-        Alcotest.test_case "seeded crash fuzz = acked history" `Quick
-          test_mmap_crash_fuzz;
+        Alcotest.test_case "fs crash fuzz = acked history" `Quick
+          test_fs_crash_fuzz;
       ] );
   ]
