@@ -266,19 +266,9 @@ let serve_pp_row (r : serve_row) =
 let serve_prefill (svc : Service.Shard.t) ~n ~range ~seed =
   let rng = Prims.Rng.create ~seed in
   let dist = Keydist.uniform ~range in
-  let completed = Atomic.make 0 in
-  let submitted = ref 0 in
-  while !submitted < n do
-    if !submitted - Atomic.get completed < 64 then begin
-      let k = Keydist.draw dist rng in
-      incr submitted;
-      svc.Service.Shard.submit ~tid:0
-        (Service.Codec.Put { key = k; value = k })
-        (fun _ -> Atomic.incr completed)
-    end
-    else Domain.cpu_relax ()
-  done;
-  while Atomic.get completed < n do Unix.sleepf 0.0002 done
+  let keys = Array.init n (fun _ -> Keydist.draw dist rng) in
+  Service.Shard.pipeline svc ~tid:0 ~window:64 ~n (fun i ->
+      Service.Codec.Put { key = keys.(i); value = keys.(i) })
 
 let serve_one ~(scheme : Registry.scheme) ~structure_name ~shards ~clients
     ~stalled ~duration ~dist ~mode ~mix ~churn ~mailbox_cap ~prefill ~range

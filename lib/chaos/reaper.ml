@@ -3,8 +3,9 @@
    The reaper watches each shard's heartbeat gauge (bumped once per
    consumer loop iteration, frozen by a crash).  A frozen heartbeat
    alone is NOT enough to act on: a stalled consumer parked inside its
-   bracket also freezes, and force-exiting a live consumer's bracket
-   would corrupt the control plane.  So a recovery fires only after
+   bracket also freezes, so does an idle consumer parked on its empty
+   mailbox, and force-exiting a live consumer's bracket would corrupt
+   the control plane.  So a recovery fires only after
    [threshold] consecutive polls in which the heartbeat is frozen AND
    the domain is confirmed dead (joinable) — the confirmation is what
    makes a destructive force-leave safe, and counting polls from the

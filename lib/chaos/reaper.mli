@@ -5,8 +5,9 @@
     confirmed-dead domain, the shard is reported for recovery
     ({!Service.Shard.t.recover}: force-exit the abandoned control-plane
     bracket, reuse its tid slot, respawn the consumer).  Confirmation
-    matters: stalled consumers freeze their heartbeat too, and
-    force-leaving a live bracket would corrupt the control plane. *)
+    matters: stalled consumers, and idle ones parked on an empty
+    mailbox, freeze their heartbeat too, and force-leaving a live
+    bracket would corrupt the control plane. *)
 
 type t
 

@@ -199,6 +199,7 @@ let apply_records t records =
   let svc = t.n_primary.Replica.Primary.svc in
   let remaining = Atomic.make (List.length records) in
   let failed = Atomic.make None in
+  let p = Prims.Parker.local () in
   List.iter
     (fun (_seq, m) ->
       let req = req_of_mutation m in
@@ -210,7 +211,8 @@ let apply_records t records =
             | Codec.Error e ->
                 if Atomic.get failed = None then Atomic.set failed (Some e);
                 Atomic.decr remaining
-            | _ -> Atomic.decr remaining));
+            | _ -> Atomic.decr remaining);
+            Prims.Parker.wake p);
         if !shed then begin
           Unix.sleepf 0.0002;
           submit ()
@@ -218,10 +220,9 @@ let apply_records t records =
       in
       submit ())
     records;
-  let spins = ref 0 in
-  while Atomic.get remaining > 0 do
-    incr spins;
-    if !spins land 63 = 0 then Unix.sleepf 0.0001 else Domain.cpu_relax ()
+  let applied () = Atomic.get remaining = 0 in
+  while not (applied ()) do
+    Prims.Parker.park p ~ready:applied
   done;
   match Atomic.get failed with
   | None -> Codec.Cl_ok

@@ -5,12 +5,23 @@ module Codec = Service.Codec
 type endpoint = {
   ep_id : int;
   ep_path : string;
-  ep_lock : Mutex.t;
+  ep_lock : Mutex.t;  (* guards the ticket counters *)
+  ep_turn : Condition.t;
+  mutable ep_next : int;  (* next ticket handed out *)
+  mutable ep_serving : int;  (* ticket whose call owns the connection *)
   mutable ep_fd : Unix.file_descr option;
 }
 
 let endpoint ~id ~path =
-  { ep_id = id; ep_path = path; ep_lock = Mutex.create (); ep_fd = None }
+  {
+    ep_id = id;
+    ep_path = path;
+    ep_lock = Mutex.create ();
+    ep_turn = Condition.create ();
+    ep_next = 0;
+    ep_serving = 0;
+    ep_fd = None;
+  }
 
 let endpoint_id ep = ep.ep_id
 
@@ -28,11 +39,26 @@ let ep_drop ep =
   | None -> ());
   ep.ep_fd <- None
 
-let endpoint_call ep req =
+(* One call at a time on the connection, in arrival order.  A plain
+   mutex lets a closed-loop caller re-take the lock before a woken
+   waiter gets a CPU, which starves whoever shares the endpoint with
+   it — a migration driver behind routed load never converged. *)
+let with_turn ep f =
   Mutex.lock ep.ep_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock ep.ep_lock)
-    (fun () ->
+  let me = ep.ep_next in
+  ep.ep_next <- me + 1;
+  while ep.ep_serving <> me do
+    Condition.wait ep.ep_turn ep.ep_lock
+  done;
+  Mutex.unlock ep.ep_lock;
+  Fun.protect f ~finally:(fun () ->
+      Mutex.lock ep.ep_lock;
+      ep.ep_serving <- me + 1;
+      Condition.broadcast ep.ep_turn;
+      Mutex.unlock ep.ep_lock)
+
+let endpoint_call ep req =
+  with_turn ep (fun () ->
       let attempt () = Service.Conn.call_fd (ep_fd ep) req in
       try attempt ()
       with
@@ -51,11 +77,7 @@ let endpoint_call ep req =
           ep_drop ep;
           Codec.Error "endpoint unreachable"))
 
-let endpoint_close ep =
-  Mutex.lock ep.ep_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock ep.ep_lock)
-    (fun () -> ep_drop ep)
+let endpoint_close ep = with_turn ep (fun () -> ep_drop ep)
 
 (* ------------------------------------------------------------------ *)
 

@@ -19,8 +19,9 @@ type endpoint
 
 val endpoint : id:int -> path:string -> endpoint
 (** Lazily-dialed unix-socket endpoint for node [id].  Calls
-    serialize on an internal lock; a connection error closes and
-    re-dials once before giving up with an [Error] reply. *)
+    serialize in arrival order (a closed-loop caller cannot starve
+    another caller sharing the endpoint); a connection error closes
+    and re-dials once before giving up with an [Error] reply. *)
 
 val endpoint_id : endpoint -> int
 

@@ -15,13 +15,6 @@ let pp_stats ppf { created; allocs; frees } =
   Format.fprintf ppf "created=%d allocs=%d frees=%d live=%d" created allocs
     frees (allocs - frees)
 
-(* Registry chunking: [lookup] must be wait-free while creation grows
-   the index space, so nodes live in fixed-size chunks hung off a
-   fixed directory, never moved after publication. *)
-let chunk_bits = 12
-let chunk_size = 1 lsl chunk_bits
-let max_chunks = 1 lsl 16
-
 module Make (P : POOLABLE) = struct
   (* Per-domain free cache.  [count] is maintained incrementally so
      [free] never walks the list (spilling used to be O(cache) per
@@ -30,7 +23,6 @@ module Make (P : POOLABLE) = struct
 
   type t = {
     next_index : int Atomic.t;
-    chunks : P.t option Atomic.t array option Atomic.t array;
     shared_free : P.t list Atomic.t;
     shared_len : int Atomic.t;
     local_cache : int;
@@ -49,7 +41,6 @@ module Make (P : POOLABLE) = struct
     if local_cache < 0 then invalid_arg "Mpool.create: local_cache < 0";
     {
       next_index = Atomic.make 0;
-      chunks = Array.init max_chunks (fun _ -> Atomic.make None);
       shared_free = Atomic.make [];
       shared_len = Atomic.make 0;
       local_cache;
@@ -144,30 +135,9 @@ module Make (P : POOLABLE) = struct
               put surplus);
           Some node
 
-  (* Install [node] into its registry cell.  Cells are [None] until
-     their node is published, so a concurrent [lookup] can never
-     observe another index's node through a pre-filled placeholder; it
-     waits on the specific cell instead (see [lookup]). *)
-  let publish t node =
-    let i = P.index node in
-    let c = i lsr chunk_bits in
-    if c >= max_chunks then failwith "Mpool: index space exhausted";
-    let slot = t.chunks.(c) in
-    (match Atomic.get slot with
-    | Some _ -> ()
-    | None ->
-        (* Only one thread wins the install; losers just use the
-           winner's chunk. *)
-        let arr = Array.init chunk_size (fun _ -> Atomic.make None) in
-        ignore (Atomic.compare_and_set slot None (Some arr)));
-    match Atomic.get slot with
-    | Some arr -> Atomic.set arr.(i land (chunk_size - 1)) (Some node)
-    | None -> assert false
-
   let fresh t =
     let i = Atomic.fetch_and_add t.next_index 1 in
     let node = P.create ~index:i in
-    publish t node;
     Atomic.incr t.created;
     node
 
@@ -203,34 +173,6 @@ module Make (P : POOLABLE) = struct
         cache.count <- 0
       end
     end
-
-  (* [fresh] reserves the index (the fetch-and-add on [next_index])
-     before [publish] installs the node, so an index below
-     [next_index] may designate a cell that is not yet — but is about
-     to be — filled.  Wait on that cell rather than racing it: the
-     publisher is a bounded number of instructions away from the
-     store. *)
-  let lookup t i =
-    if i < 0 || i >= Atomic.get t.next_index then
-      invalid_arg "Mpool.lookup: index out of range";
-    let c = i lsr chunk_bits in
-    let rec cell () =
-      match Atomic.get t.chunks.(c) with
-      | Some arr -> arr.(i land (chunk_size - 1))
-      | None ->
-          (* Chunk install in flight on the publishing domain. *)
-          Domain.cpu_relax ();
-          cell ()
-    in
-    let cell = cell () in
-    let rec node () =
-      match Atomic.get cell with
-      | Some n -> n
-      | None ->
-          Domain.cpu_relax ();
-          node ()
-    in
-    node ()
 
   let stats t =
     {

@@ -16,10 +16,11 @@
     on an immutable list; index assignment via fetch-and-add) and keeps
     per-domain caches to avoid a single contended free list.
 
-    Every node receives a small, dense, stable integer {e index},
-    usable as a single-word encoding of a pointer — this is how the
-    repository reproduces Hyaline-1's "pointer with a squeezed-in bit"
-    single-width-CAS representation on a runtime without raw pointers. *)
+    Every node receives a small, dense, stable integer {e index} at
+    creation.  The pool keeps no index-to-node registry, so an empty
+    pool costs a few words whatever its future size.  Packed
+    single-word heads (Hyaline-1's "pointer with a squeezed-in bit")
+    decode through [Smr.Hdr]'s uid registry instead. *)
 
 exception Injected_oom
 (** Raised by {!Make.alloc} while an {!Make.inject_failures} budget is
@@ -97,15 +98,6 @@ module Make (P : POOLABLE) : sig
   (** [free t n] returns [n] to the pool for reuse.  Runs [P.on_free].
       The caller must guarantee [n] came from [t] and is not freed
       twice (the node's own hooks are expected to check). *)
-
-  val lookup : t -> int -> P.t
-  (** [lookup t i] returns the node with stable index [i].  If the
-      index has been reserved by a concurrent in-flight creation but
-      the node is not yet installed, [lookup] waits on that cell until
-      the publisher's store lands (a bounded number of instructions
-      away) — it never observes a placeholder for a different index.
-      @raise Invalid_argument if [i] is negative or was never handed
-      out by this pool. *)
 
   val stats : t -> stats
   (** Racy-but-consistent-enough snapshot of the counters. *)

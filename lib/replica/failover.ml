@@ -1,7 +1,8 @@
 (* Confirmed-death failover, mirroring Chaos.Reaper's discipline: no
    promotion on a single stale observation — the liveness flag must be
    down AND every shard heartbeat frozen across [threshold]
-   consecutive polls.  Promotion then catches the follower up from
+   consecutive polls.  Frozen heartbeats alone prove nothing: an idle
+   consumer parks on its empty mailbox and stops bumping its own.  Promotion then catches the follower up from
    the shared store, so acked-but-not-yet-replicated records are
    recovered rather than lost. *)
 

@@ -4,7 +4,8 @@
     declared dead only when its liveness flag is down {e and} every
     shard consumer's heartbeat has been frozen for [threshold]
     consecutive polls — a slow primary is never failed over on a
-    single stale read.
+    single stale read, and an idle one (whose parked consumers freeze
+    their heartbeats too) is never failed over at all.
 
     Promotion runs against the {e shared store} (the shared-disk
     model): the promoted follower catches up from the WAL itself —
@@ -30,9 +31,10 @@ val monitor :
 (** [threshold] defaults to 3 consecutive frozen observations. *)
 
 val poll : monitor -> bool
-(** One observation round; [true] once death is confirmed.  Callers
-    space polls so a live-but-idle consumer gets a chance to bump its
-    heartbeat between them. *)
+(** One observation round; [true] once death is confirmed.  A busy
+    consumer bumps its heartbeat between spaced polls; an idle one is
+    parked and does not, so the liveness flag is what keeps an idle
+    primary from being confirmed dead. *)
 
 val confirmed : monitor -> bool
 val polls : monitor -> int

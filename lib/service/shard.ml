@@ -116,18 +116,24 @@ module Core (T : Smr.Tracker.S) (Mk : Dstruct.Map_intf.MAKER) = struct
     map : Map.t;
     mailbox : env MB.t;
     stall_flag : bool Atomic.t;
-    (* Set by the consumer while it is spinning inside its stall
+    (* Set by the consumer while it is parked inside its stall
        bracket: lets a fault injector wait for the park to be
        effective (mailbox guaranteed undrained from here on). *)
     parked : bool Atomic.t;
+    (* The consumer's one place to wait, idle or stalled.  Everything
+       that changes what it waits for — a mailed request, [stop],
+       [crash], [set_stalled] — publishes first and wakes it after. *)
+    bell : Prims.Parker.t;
     (* Chaos: when set, the consumer takes a control-plane reservation
        and terminates without leaving it — the paper's §2.3 dead
        thread.  [dead] records that the bracket is abandoned until
        [recover] force-exits it. *)
     crash_flag : bool Atomic.t;
     dead : bool Atomic.t;
-    (* Bumped once per consumer loop iteration; freezes exactly when
-       the consumer stalls or dies (the reaper's detection signal). *)
+    (* Bumped once per consumer loop iteration; freezes when the
+       consumer stalls, dies, or parks idle on an empty mailbox.  A
+       frozen heartbeat is therefore never proof of death on its own
+       (the reaper also requires a confirmed-dead domain). *)
     heartbeat : int Atomic.t;
     shard_processed : int Atomic.t;
     (* At most one snapshot reader holds the map's tid-1 bracket. *)
@@ -264,6 +270,7 @@ module Core (T : Smr.Tracker.S) (Mk : Dstruct.Map_intf.MAKER) = struct
                 ~capacity:c.mailbox_capacity ();
             stall_flag = Atomic.make false;
             parked = Atomic.make false;
+            bell = Prims.Parker.create ();
             crash_flag = Atomic.make false;
             dead = Atomic.make false;
             heartbeat = Atomic.make 0;
@@ -348,8 +355,18 @@ module Core (T : Smr.Tracker.S) (Mk : Dstruct.Map_intf.MAKER) = struct
     in
     let consumer sh () =
       let qtid = c.clients + sh.idx in
-      let idle = ref 0 in
       let crashed = ref false in
+      let unstalled () =
+        (not (Atomic.get sh.stall_flag))
+        || (not (Atomic.get running))
+        || Atomic.get sh.crash_flag
+      in
+      let has_work () =
+        MB.depth sh.mailbox > 0
+        || (not (Atomic.get running))
+        || Atomic.get sh.stall_flag
+        || Atomic.get sh.crash_flag
+      in
       while Atomic.get running && not !crashed do
         Atomic.incr sh.heartbeat;
         if Atomic.get sh.crash_flag then begin
@@ -369,29 +386,15 @@ module Core (T : Smr.Tracker.S) (Mk : Dstruct.Map_intf.MAKER) = struct
                plumbing. *)
             T.enter ctl_tracker ~tid:qtid;
             Atomic.set sh.parked true;
-            while
-              Atomic.get sh.stall_flag
-              && Atomic.get running
-              && not (Atomic.get sh.crash_flag)
-            do
-              Domain.cpu_relax ()
+            while not (unstalled ()) do
+              Prims.Parker.park sh.bell ~ready:unstalled
             done;
             Atomic.set sh.parked false;
             T.leave ctl_tracker ~tid:qtid
           end;
           match MB.drain sh.mailbox ~tid:qtid ~max:c.batch with
-          | [] ->
-              incr idle;
-              (* Briefly spin, then sleep: on an oversubscribed core a
-                 hot empty-poll loop would starve the producers that
-                 would fill this mailbox. *)
-              if !idle > 64 then begin
-                Unix.sleepf 0.0002;
-                idle := 0
-              end
-              else Domain.cpu_relax ()
+          | [] -> Prims.Parker.park sh.bell ~ready:has_work
           | batch -> (
-              idle := 0;
               try run_batch sh batch
               with _ ->
                 (* The durability hook died mid-commit (torn write,
@@ -423,7 +426,8 @@ module Core (T : Smr.Tracker.S) (Mk : Dstruct.Map_intf.MAKER) = struct
       else begin
         let sh = shards.(shard_of_key (Codec.key_of_request req)) in
         let env = { req; tid; born_ns = Obs.Clock.now_ns (); reply } in
-        if not (MB.try_send sh.mailbox ~tid env) then begin
+        if MB.try_send sh.mailbox ~tid env then Prims.Parker.wake sh.bell
+        else begin
           Atomic.incr sheds;
           reply Codec.Shed
         end
@@ -437,6 +441,7 @@ module Core (T : Smr.Tracker.S) (Mk : Dstruct.Map_intf.MAKER) = struct
       if Atomic.get sh.dead then
         invalid_arg "Shard.crash: consumer already crashed";
       Atomic.set sh.crash_flag true;
+      Prims.Parker.wake sh.bell;
       (* Join so death is synchronous: when [crash] returns, the
          consumer domain is gone and its control-plane bracket is
          provably abandoned — a deterministic starting point for
@@ -603,6 +608,7 @@ module Core (T : Smr.Tracker.S) (Mk : Dstruct.Map_intf.MAKER) = struct
         Atomic.set running false;
         Array.iter
           (fun sh ->
+            Prims.Parker.wake sh.bell;
             match sh.consumer with
             | Some d ->
                 Domain.join d;
@@ -654,7 +660,9 @@ module Core (T : Smr.Tracker.S) (Mk : Dstruct.Map_intf.MAKER) = struct
       data_stats =
         (fun () -> Array.to_list shards |> List.map (fun sh -> Map.stats sh.map));
       set_stalled =
-        (fun ~shard v -> Atomic.set shards.(shard).stall_flag v);
+        (fun ~shard v ->
+          Atomic.set shards.(shard).stall_flag v;
+          Prims.Parker.wake shards.(shard).bell);
       is_stalled = (fun i -> Atomic.get shards.(i).stall_flag);
       is_parked = (fun i -> Atomic.get shards.(i).parked);
       crash;
@@ -692,27 +700,25 @@ let create ~(structure : Workload.Registry.structure)
   C.make ~scheme_name:scheme.Workload.Registry.s_name
     ~structure_name:structure.Workload.Registry.d_name c
 
+(* Reply waits park on the caller's domain-local parker; the reply
+   callback runs on the shard consumer, so it captures the parker
+   rather than looking one up. *)
 let call t ~tid req =
   let cell = Atomic.make None in
-  t.submit ~tid req (fun r -> Atomic.set cell (Some r));
-  let spins = ref 0 in
-  let rec wait () =
-    match Atomic.get cell with
-    | Some r -> r
-    | None ->
-        incr spins;
-        (* Spin briefly, then yield the core: with more domains than
-           cores a pure spin-wait would steal the consumer's whole
-           quantum. *)
-        if !spins land 255 = 0 then Unix.sleepf 0.0001
-        else Domain.cpu_relax ();
-        wait ()
-  in
-  wait ()
+  let p = Prims.Parker.local () in
+  t.submit ~tid req (fun r ->
+      Atomic.set cell (Some r);
+      Prims.Parker.wake p);
+  let replied () = Option.is_some (Atomic.get cell) in
+  while not (replied ()) do
+    Prims.Parker.park p ~ready:replied
+  done;
+  Option.get (Atomic.get cell)
 
 let pipeline t ~tid ?(window = 128) ~n gen =
   let outstanding = Atomic.make 0 in
   let retry = Atomic.make [] in
+  let p = Prims.Parker.local () in
   let rec push_retry i =
     let old = Atomic.get retry in
     if not (Atomic.compare_and_set retry old (i :: old)) then push_retry i
@@ -723,13 +729,13 @@ let pipeline t ~tid ?(window = 128) ~n gen =
         (* A shed request goes back in the queue; a post-stop [Error]
            must not (it would retry forever). *)
         (match reply with Codec.Shed -> push_retry i | _ -> ());
-        ignore (Atomic.fetch_and_add outstanding (-1)))
+        ignore (Atomic.fetch_and_add outstanding (-1));
+        Prims.Parker.wake p)
   in
   let wait limit =
-    let spins = ref 0 in
-    while Atomic.get outstanding > limit do
-      incr spins;
-      if !spins land 255 = 0 then Unix.sleepf 0.0001 else Domain.cpu_relax ()
+    let below () = Atomic.get outstanding <= limit in
+    while not (below ()) do
+      Prims.Parker.park p ~ready:below
     done
   in
   for i = 0 to n - 1 do

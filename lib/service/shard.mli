@@ -22,7 +22,15 @@
     Because a shard's map has exactly one mutator (its consumer), a
     multi-operation request like {!Codec.Cas} is trivially atomic —
     sharding buys linearizable read-modify-write without adding a CAS
-    primitive to the maps. *)
+    primitive to the maps.
+
+    Nobody waits on a shard by sleeping.  An idle consumer parks on a
+    {!Prims.Parker} that {!t.submit}, {!t.stop}, {!t.crash} and
+    {!t.set_stalled} wake; {!call}, {!pipeline} and the cluster's
+    migration ingest park on their reply condition with the calling
+    domain's {!Prims.Parker.local}.  That domain-local parker is sound
+    because the library and its executables spawn domains, never
+    systhreads: at most one thread per domain waits at a time. *)
 
 type ack_hook = {
   h_mutation : shard:int -> Codec.mutation -> unit;
@@ -126,10 +134,11 @@ type t = {
           full, then sheds; other shards are unaffected. *)
   is_stalled : int -> bool;
   is_parked : int -> bool;
-      (** [true] once a stalled consumer is actually spinning inside
-          its stall bracket — from this point the mailbox is
-          guaranteed undrained until unstall.  Fault injectors wait on
-          this for deterministic shed accounting. *)
+      (** [true] once a stalled consumer is actually parked inside its
+          stall bracket — from this point the mailbox is guaranteed
+          undrained until unstall.  Fault injectors wait on this for
+          deterministic shed accounting.  An idle consumer blocked on
+          an empty mailbox is not "parked" in this sense. *)
   crash : shard:int -> unit;
       (** Chaos fault: the consumer takes a control-plane reservation
           and its domain terminates {e without leaving it} — the
@@ -148,9 +157,12 @@ type t = {
   consumer_alive : int -> bool;
       (** [false] iff crashed and not yet recovered. *)
   heartbeat : int -> int;
-      (** Monotonic per-shard consumer liveness counter (bumped every
-          loop iteration); freezes on crash or stall — the reaper's
-          detection gauge, also exported as [kv_shard<i>_heartbeat]. *)
+      (** Monotonic per-shard consumer loop counter (bumped every loop
+          iteration); freezes on crash, on stall, {e and} while an idle
+          consumer is parked on its empty mailbox.  A frozen heartbeat
+          alone therefore never means death: the reaper and failover
+          monitor also require a confirmed-dead consumer.  Exported as
+          [kv_shard<i>_heartbeat]. *)
   inject_oom : shard:int -> n:int -> unit;
       (** Chaos fault: the next [n] node allocations of this shard's
           map raise [Mpool.Injected_oom]; the affected requests get a
@@ -235,8 +247,9 @@ val create :
     incompatible pair (pointer-grained scheme on bonsai). *)
 
 val call : t -> tid:int -> Codec.request -> Codec.reply
-(** Synchronous {!t.submit}: block (spin, then politely sleep) until
-    the reply lands.  The closed-loop client primitive. *)
+(** Synchronous {!t.submit}: spin briefly, then block on the calling
+    domain's parker until the reply callback wakes it.  The
+    closed-loop client primitive. *)
 
 val pipeline : t -> tid:int -> ?window:int -> n:int -> (int -> Codec.request) -> unit
 (** Windowed bulk submit: requests [gen 0 .. gen (n-1)] with up to

@@ -466,6 +466,57 @@ let test_migration_under_load () =
               | None -> Alcotest.failf "key %d missing after reboot" k)
             expected_slot))
 
+(* Calls sharing a router endpoint are served in arrival order.  A
+   hammer calls in a closed loop; a second caller joins once the
+   hammer is running, and each of its calls must be served after at
+   most a few of the hammer's.  A barging mutex hands the connection straight back
+   to the hammer on every release, which is how a closed-loop client
+   starved a migration sharing its endpoints; the hammer's call cap
+   keeps such a regression a failure rather than a hang. *)
+let test_endpoint_fifo () =
+  let store, _ = Replica.Store.Mem.create () in
+  let p = mk_primary ~store in
+  let svc = p.Replica.Primary.svc in
+  let path = tmp_sock "fifo" in
+  let srv = Service.Conn.serve_unix svc ~path () in
+  let ep = Router.endpoint ~id:0 ~path in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.endpoint_close ep;
+      Service.Conn.shutdown srv;
+      Replica.Primary.stop p)
+  @@ fun () ->
+  let cap = 20_000 in
+  let hammered = Atomic.make 0 and served = Atomic.make false in
+  let hammer =
+    Domain.spawn (fun () ->
+        while (not (Atomic.get served)) && Atomic.get hammered < cap do
+          ignore (Router.endpoint_call ep (Codec.Get 0));
+          Atomic.incr hammered
+        done)
+  in
+  let await_hammer_past n =
+    while Atomic.get hammered <= n && n < cap do
+      Domain.cpu_relax ()
+    done
+  in
+  (* A barging lock lets the second caller through by luck now and
+     then; eight rounds, each joining a hammer that is running again,
+     make that luck vanishingly rare. *)
+  let overtaken =
+    List.init 8 (fun _ ->
+        let before = Atomic.get hammered in
+        await_hammer_past before;
+        let before = Atomic.get hammered in
+        ignore (Router.endpoint_call ep (Codec.Get 1));
+        Atomic.get hammered - before)
+  in
+  Atomic.set served true;
+  Domain.join hammer;
+  let worst = List.fold_left max 0 overtaken in
+  if worst > 64 then
+    Alcotest.failf "hammer completed %d calls while the second caller waited" worst
+
 let suites =
   [
     ( "cluster.ring",
@@ -492,5 +543,7 @@ let suites =
       [
         Alcotest.test_case "live migration under routed load" `Quick
           test_migration_under_load;
+        Alcotest.test_case "endpoint serves callers in arrival order" `Quick
+          test_endpoint_fifo;
       ] );
   ]

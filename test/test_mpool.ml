@@ -59,21 +59,11 @@ let test_indices_dense_and_stable () =
   let nodes = List.init 100 (fun _ -> Pool.alloc p) in
   let indices = List.map Node.index nodes |> List.sort compare in
   Alcotest.(check (list int)) "dense indices" (List.init 100 Fun.id) indices;
-  List.iter
-    (fun n ->
-      Alcotest.(check bool)
-        "lookup returns the node" true
-        (Pool.lookup p (Node.index n) == n))
-    nodes
-
-let test_lookup_out_of_range () =
-  let p = Pool.create () in
-  Alcotest.check_raises "negative"
-    (Invalid_argument "Mpool.lookup: index out of range") (fun () ->
-      ignore (Pool.lookup p (-1)));
-  Alcotest.check_raises "past end"
-    (Invalid_argument "Mpool.lookup: index out of range") (fun () ->
-      ignore (Pool.lookup p 0))
+  List.iter (Pool.free p) nodes;
+  let again = List.init 100 (fun _ -> Pool.alloc p) in
+  Alcotest.(check (list int))
+    "recycled nodes keep their indices" (List.init 100 Fun.id)
+    (List.map Node.index again |> List.sort compare)
 
 let test_local_cache_spills () =
   let p = Pool.create ~local_cache:4 () in
@@ -200,64 +190,6 @@ let test_refill_under_contention () =
   Alcotest.(check int) "allocs = frees" s.Mpool.allocs s.Mpool.frees;
   Alcotest.(check int) "live 0" 0 (Pool.live p)
 
-let test_lookup_vs_fresh_frontier () =
-  (* Regression for the reserve-then-publish race in [fresh]: the
-     index is reserved (fetch-and-add on [next_index]) strictly before
-     the node is installed in its registry cell, so a reader chasing
-     the frontier can pass the range check and hit a cell whose store
-     is still in flight.  The seed code either raised from the missing
-     chunk or returned a placeholder node with the wrong index;
-     post-fix [lookup] must wait on the specific cell and return the
-     node whose index is exactly the one asked for.  The only
-     tolerated failure is the range check itself (index not reserved
-     yet). *)
-  let p = Pool.create ~local_cache:0 () in
-  let stop = Atomic.make false in
-  let bad = Atomic.make None in
-  let producers =
-    List.init 2 (fun _ ->
-        Domain.spawn (fun () ->
-            while not (Atomic.get stop) do
-              ignore (Pool.alloc p)
-            done))
-  in
-  let consumer =
-    Domain.spawn (fun () ->
-        let i = ref 0 in
-        (try
-           while not (Atomic.get stop) do
-             match Pool.lookup p !i with
-             | n ->
-                 if Node.index n <> !i then begin
-                   Atomic.set bad
-                     (Some
-                        (Printf.sprintf "lookup %d returned node %d" !i
-                           (Node.index n)));
-                   Atomic.set stop true
-                 end
-                 else incr i
-             | exception Invalid_argument msg
-               when msg = "Mpool.lookup: index out of range" ->
-                 (* Frontier index not reserved yet — the only
-                    tolerated failure; anything else falls through to
-                    the outer handler and fails the test. *)
-                 Domain.cpu_relax ()
-           done
-         with e ->
-           Atomic.set bad (Some (Printexc.to_string e));
-           Atomic.set stop true);
-        !i)
-  in
-  Unix.sleepf 0.3;
-  Atomic.set stop true;
-  let chased = Domain.join consumer in
-  List.iter Domain.join producers;
-  (match Atomic.get bad with
-  | Some msg -> Alcotest.fail ("frontier race: " ^ msg)
-  | None -> ());
-  Alcotest.(check bool) "consumer chased a non-empty frontier" true
-    (chased > 0)
-
 let test_inject_failures () =
   let p = Pool.create ~local_cache:0 () in
   Pool.inject_failures p ~n:2;
@@ -381,10 +313,8 @@ let suites =
         Alcotest.test_case "freed nodes are reused" `Quick test_reuse;
         Alcotest.test_case "live nodes distinct" `Quick
           test_distinct_when_live;
-        Alcotest.test_case "indices dense+stable, lookup" `Quick
+        Alcotest.test_case "indices dense+stable" `Quick
           test_indices_dense_and_stable;
-        Alcotest.test_case "lookup out of range" `Quick
-          test_lookup_out_of_range;
         Alcotest.test_case "local cache spills" `Quick test_local_cache_spills;
         Alcotest.test_case "live counter" `Quick test_live_counter;
         Alcotest.test_case "concurrent churn" `Slow test_concurrent_churn;
@@ -393,8 +323,6 @@ let suites =
           test_exchange_refill;
         Alcotest.test_case "refill under contention" `Slow
           test_refill_under_contention;
-        Alcotest.test_case "lookup vs fresh frontier" `Slow
-          test_lookup_vs_fresh_frontier;
         Alcotest.test_case "injected alloc failures" `Quick
           test_inject_failures;
         Alcotest.test_case "leaky reuse trips the generation check" `Quick

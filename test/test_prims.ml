@@ -174,6 +174,49 @@ let test_rng_distribution () =
         (c > 700 && c < 1300))
     buckets
 
+(* ------------------------------------------------------------------ *)
+(* Parker *)
+
+(* Ping-pong between two domains.  On an oversubscribed core the
+   partner is usually descheduled past the spin budget, so many waits
+   take the flag/re-check/block path.  A lost wakeup leaves both
+   blocked; the watchdog turns that into a failure, not a hang. *)
+let test_parker_ping_pong () =
+  let rounds = 2_000 in
+  let turn = Atomic.make 0 in
+  let pa = Parker.create () and pb = Parker.create () in
+  let await p n =
+    let reached () = Atomic.get turn >= n in
+    while not (reached ()) do
+      Parker.park p ~ready:reached
+    done
+  in
+  let finished = Atomic.make false in
+  let run () =
+    let b =
+      Domain.spawn (fun () ->
+          for i = 1 to rounds do
+            await pb ((2 * i) - 1);
+            Atomic.set turn (2 * i);
+            Parker.wake pa
+          done)
+    in
+    for i = 1 to rounds do
+      Atomic.set turn ((2 * i) - 1);
+      Parker.wake pb;
+      await pa (2 * i)
+    done;
+    Domain.join b;
+    Atomic.set finished true
+  in
+  ignore (Domain.spawn run);
+  let deadline = Unix.gettimeofday () +. 30.0 in
+  while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  Alcotest.(check bool) "every round woken" true (Atomic.get finished);
+  Alcotest.(check int) "final turn" (2 * rounds) (Atomic.get turn)
+
 let suites =
   [
     ( "prims.backoff",
@@ -190,6 +233,11 @@ let suites =
         Alcotest.test_case "update concurrent" `Quick test_update_concurrent;
         Alcotest.test_case "wrapping_add Adjs identity" `Quick
           test_wrapping_add;
+      ] );
+    ( "prims.parker",
+      [
+        Alcotest.test_case "ping-pong through the block path" `Quick
+          test_parker_ping_pong;
       ] );
     ( "prims.rng",
       [

@@ -192,6 +192,72 @@ let test_model_detects_unsafe_free () =
         (String.length msg > 0)
   | _ -> Alcotest.fail "unsafe free went unnoticed by the checker"
 
+(* ------------------------------------------------------------------ *)
+(* Prims.Parker's no-lost-wakeup protocol, one waiter and one
+   publisher.  The waiter polls once (the spin phase), raises the
+   waiting flag, re-checks, and blocks; the publisher publishes, then
+   rings only if it sees the flag.  The real bell is a condition
+   variable whose mutex the waiter holds from raising the flag until
+   the wait releases it, so a ring can never land between the re-check
+   and the block: any ring after the flag went up reaches the blocked
+   waiter.  The model therefore records the bell count just before the
+   flag is raised, and a schedule is a lost wakeup iff it ends with the
+   waiter blocked, the data published, and the bell not rung since.
+   The fibers are straight-line, so exploration is exhaustive. *)
+
+let parker_scenario ~recheck ~publish_first () =
+  let data = Sched.Shared.make false in
+  let flag = Sched.Shared.make false in
+  let bell = Sched.Shared.make 0 in
+  let blocked = ref None in
+  let waiter () =
+    if not (Sched.Shared.get data) then begin
+      let rung_before = Sched.Shared.get bell in
+      Sched.Shared.set flag true;
+      if recheck && Sched.Shared.get data then Sched.Shared.set flag false
+      else blocked := Some rung_before
+    end
+  in
+  let ring () =
+    if Sched.Shared.get flag then ignore (Sched.Shared.fetch_and_add bell 1)
+  in
+  let publisher () =
+    if publish_first then begin
+      Sched.Shared.set data true;
+      ring ()
+    end
+    else begin
+      ring ();
+      Sched.Shared.set data true
+    end
+  in
+  ( [ waiter; publisher ],
+    fun () ->
+      match !blocked with
+      | Some rung_before
+        when Sched.Shared.get data && Sched.Shared.get bell = rung_before ->
+          failwith "lost wakeup: waiter blocked, data published, bell unrung"
+      | _ -> () )
+
+let test_parker_no_lost_wakeup () =
+  let st =
+    Sched.explore
+      ~scenario:(parker_scenario ~recheck:true ~publish_first:true)
+      ()
+  in
+  Alcotest.(check bool) "exhaustive" true st.Sched.exhausted;
+  Alcotest.(check bool) "interleavings explored" true (st.Sched.schedules > 10)
+
+let parker_mutant_caught ~recheck ~publish_first () =
+  match
+    Sched.explore ~scenario:(parker_scenario ~recheck ~publish_first) ()
+  with
+  | exception Failure msg ->
+      Alcotest.(check string)
+        "lost wakeup found"
+        "lost wakeup: waiter blocked, data published, bell unrung" msg
+  | _ -> Alcotest.fail "the broken protocol passed every schedule"
+
 let suites =
   [
     ( "schedcheck.sched",
@@ -215,6 +281,15 @@ let suites =
           test_model_reentrant_reader_sampled;
         Alcotest.test_case "unsafe free is caught" `Quick
           test_model_detects_unsafe_free;
+      ] );
+    ( "schedcheck.parker",
+      [
+        Alcotest.test_case "no lost wakeup (exhaustive)" `Quick
+          test_parker_no_lost_wakeup;
+        Alcotest.test_case "mutant without re-check is caught" `Quick
+          (parker_mutant_caught ~recheck:false ~publish_first:true);
+        Alcotest.test_case "mutant ringing before publishing is caught" `Quick
+          (parker_mutant_caught ~recheck:true ~publish_first:false);
       ] );
   ]
 

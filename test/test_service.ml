@@ -764,6 +764,133 @@ let test_slo () =
     (Service.Slo.p999 slo >= 10_000_000);
   Alcotest.(check bool) "objective now violated" true (Service.Slo.violated slo)
 
+(* ------------------------------------------------------------------ *)
+(* Idle consumers park: counts, not wall-clock rates *)
+
+(* Run [f] on its own domain and fail if it has not returned within
+   [s] seconds, so a lost wakeup fails the test instead of hanging
+   the suite. *)
+let within ~what s f =
+  let res = Atomic.make None in
+  let d = Domain.spawn (fun () -> Atomic.set res (Some (f ()))) in
+  let deadline = Unix.gettimeofday () +. s in
+  while Atomic.get res = None && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  match Atomic.get res with
+  | Some v ->
+      Domain.join d;
+      v
+  | None -> Alcotest.failf "%s did not complete within %.0f s" what s
+
+let heartbeats svc = Array.init svc.Service.Shard.nshards svc.Service.Shard.heartbeat
+
+(* Wait until no heartbeat moves across a 20 ms window: every
+   consumer has found its mailbox empty and blocked on its bell. *)
+let settled svc =
+  let deadline = Unix.gettimeofday () +. 3.0 in
+  let rec go () =
+    let before = heartbeats svc in
+    Unix.sleepf 0.02;
+    if heartbeats svc = before then true
+    else if Unix.gettimeofday () > deadline then false
+    else go ()
+  in
+  go ()
+
+(* An idle consumer parks instead of polling, so its heartbeat stays
+   frozen: over 50 polls 2 ms apart not one heartbeat moves.  A
+   consumer that sleeps in fixed quanta bumps it every quantum. *)
+let test_idle_heartbeat_frozen () =
+  let svc = make_svc () in
+  Fun.protect
+    ~finally:(fun () -> svc.Service.Shard.stop ())
+    (fun () ->
+      for k = 0 to 7 do
+        ignore
+          (Service.Shard.call svc ~tid:0
+             (Service.Codec.Put { key = k; value = k }))
+      done;
+      Alcotest.(check bool) "consumers settle" true (settled svc);
+      let base = heartbeats svc in
+      let moved = ref 0 in
+      for _ = 1 to 50 do
+        Unix.sleepf 0.002;
+        if heartbeats svc <> base then incr moved
+      done;
+      Alcotest.(check int) "polls that saw a heartbeat move" 0 !moved)
+
+(* Every control operation must reach a consumer blocked on its bell:
+   a call, a stall and unstall, a crash, and stop. *)
+let test_parked_service_controls () =
+  let svc = make_svc () in
+  let key_on shard =
+    let rec go k = if svc.Service.Shard.shard_of_key k = shard then k else go (k + 1) in
+    go 0
+  in
+  Fun.protect ~finally:(fun () -> svc.Service.Shard.stop ()) @@ fun () ->
+  Alcotest.(check bool) "consumers settle" true (settled svc);
+  (match
+     within ~what:"call" 10.0 (fun () ->
+         Service.Shard.call svc ~tid:0 (Service.Codec.Put { key = 1; value = 1 }))
+   with
+  | Service.Codec.Created -> ()
+  | r -> Alcotest.failf "call answered %s" (Service.Codec.reply_to_string r));
+  Alcotest.(check bool) "settle again" true (settled svc);
+  within ~what:"set_stalled true" 10.0 (fun () ->
+      svc.Service.Shard.set_stalled ~shard:0 true;
+      while not (svc.Service.Shard.is_parked 0) do
+        Domain.cpu_relax ()
+      done);
+  (* Mailed while stalled: answered only after the unstall wakes it. *)
+  let answered = Atomic.make false in
+  svc.Service.Shard.submit ~tid:0
+    (Service.Codec.Get (key_on 0))
+    (fun _ -> Atomic.set answered true);
+  Alcotest.(check bool) "stalled consumer holds its mailbox" false
+    (Atomic.get answered);
+  within ~what:"set_stalled false" 10.0 (fun () ->
+      svc.Service.Shard.set_stalled ~shard:0 false;
+      while not (Atomic.get answered) do
+        Domain.cpu_relax ()
+      done);
+  Alcotest.(check bool) "settle before crash" true (settled svc);
+  within ~what:"crash" 10.0 (fun () -> svc.Service.Shard.crash ~shard:1);
+  Alcotest.(check bool) "crashed" false (svc.Service.Shard.consumer_alive 1);
+  within ~what:"stop" 10.0 (fun () -> svc.Service.Shard.stop ())
+
+(* The reaper and the failover monitor must not mistake a parked idle
+   consumer for a dead one: its heartbeat is frozen, but its domain is
+   alive, so [threshold] polls (and more) confirm nothing. *)
+let test_idle_not_confirmed_dead () =
+  let svc = make_svc () in
+  Fun.protect
+    ~finally:(fun () -> svc.Service.Shard.stop ())
+    (fun () ->
+      Alcotest.(check bool) "consumers settle" true (settled svc);
+      let base = heartbeats svc in
+      let threshold = 3 in
+      let reaper = Chaos.Reaper.create ~svc ~threshold in
+      let alive () =
+        List.for_all svc.Service.Shard.consumer_alive
+          (List.init svc.Service.Shard.nshards Fun.id)
+      in
+      let mon =
+        Replica.Failover.monitor ~alive ~heartbeat:svc.Service.Shard.heartbeat
+          ~nshards:svc.Service.Shard.nshards ~threshold ()
+      in
+      let confirmed = ref 0 in
+      for _ = 1 to 2 * threshold do
+        Unix.sleepf 0.002;
+        confirmed := !confirmed + List.length (Chaos.Reaper.poll reaper);
+        if Replica.Failover.poll mon then incr confirmed
+      done;
+      Alcotest.(check bool) "heartbeats frozen throughout" true
+        (heartbeats svc = base);
+      Alcotest.(check int) "deaths confirmed" 0 !confirmed;
+      Alcotest.(check bool) "failover unconfirmed" false
+        (Replica.Failover.confirmed mon))
+
 let suites =
   [
     ( "service.codec",
@@ -784,6 +911,15 @@ let suites =
           test_abrupt_disconnects_leave_loop_serving;
         Alcotest.test_case "reply buffer cleared on every write exit" `Quick
           test_write_frame_clears_buffer;
+      ] );
+    ( "service.parker",
+      [
+        Alcotest.test_case "idle heartbeat stays frozen" `Quick
+          test_idle_heartbeat_frozen;
+        Alcotest.test_case "controls reach a parked consumer" `Quick
+          test_parked_service_controls;
+        Alcotest.test_case "idle consumer never confirmed dead" `Quick
+          test_idle_not_confirmed_dead;
       ] );
     ( "service.evloop",
       [

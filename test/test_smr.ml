@@ -73,8 +73,7 @@ let test_hdr_set_live_resets () =
    header is registered at creation under its uid; [of_uid] must
    return that exact header, reject out-of-range indices, and — the
    racy case — wait out a concurrent registration whose uid has been
-   reserved but whose cell store has not landed yet (mirror of the
-   mpool lookup-vs-fresh frontier race). *)
+   reserved but whose cell store has not landed yet. *)
 
 let test_hdr_of_uid_roundtrip () =
   let hs = List.init 100 (fun _ -> Hdr.create ()) in
