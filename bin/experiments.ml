@@ -262,7 +262,7 @@ let serve_pp_row (r : serve_row) =
 
 (* Prefill through the mailboxes with a bounded submission window:
    async (a closed-loop prefill would pay a full round-trip per key on
-   one core) but never deep enough to shed. *)
+   one core); a shed put is resubmitted in order by the pipeline. *)
 let serve_prefill (svc : Service.Shard.t) ~n ~range ~seed =
   let rng = Prims.Rng.create ~seed in
   let dist = Keydist.uniform ~range in

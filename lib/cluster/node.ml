@@ -185,45 +185,20 @@ let with_lock t f =
 
 (* ------------------------------------------------------------------ *)
 (* Migration ingest: pipeline the batch through the normal submit
-   path under the node's reserved tid, then wait for every reply —
-   the WAL hook defers replies past the group commit, so returning
-   [Cl_ok] here certifies durability.  [Shed] only ever fires
-   synchronously from [submit] (consumers never produce it), so the
-   retry loop reads its flag race-free. *)
-
-let req_of_mutation = function
-  | Codec.Set { key; value } -> Codec.Put { key; value }
-  | Codec.Unset key -> Codec.Del key
+   path under the node's reserved tid, in record order per shard.
+   [Shard.pipeline] returns only after every reply — the WAL hook
+   defers replies past the group commit, so returning [Cl_ok] here
+   certifies durability. *)
 
 let apply_records t records =
   let svc = t.n_primary.Replica.Primary.svc in
-  let remaining = Atomic.make (List.length records) in
+  let records = Array.of_list records in
   let failed = Atomic.make None in
-  let p = Prims.Parker.local () in
-  List.iter
-    (fun (_seq, m) ->
-      let req = req_of_mutation m in
-      let rec submit () =
-        let shed = ref false in
-        svc.Service.Shard.submit ~tid:t.n_apply_tid req (fun reply ->
-            (match reply with
-            | Codec.Shed -> shed := true
-            | Codec.Error e ->
-                if Atomic.get failed = None then Atomic.set failed (Some e);
-                Atomic.decr remaining
-            | _ -> Atomic.decr remaining);
-            Prims.Parker.wake p);
-        if !shed then begin
-          Unix.sleepf 0.0002;
-          submit ()
-        end
-      in
-      submit ())
-    records;
-  let applied () = Atomic.get remaining = 0 in
-  while not (applied ()) do
-    Prims.Parker.park p ~ready:applied
-  done;
+  Service.Shard.pipeline svc ~tid:t.n_apply_tid ~n:(Array.length records)
+    ~on_reply:(fun _ -> function
+      | Codec.Error e -> ignore (Atomic.compare_and_set failed None (Some e))
+      | _ -> ())
+    (fun i -> Codec.request_of_mutation (snd records.(i)));
   match Atomic.get failed with
   | None -> Codec.Cl_ok
   | Some e -> Codec.Error ("cl_apply: " ^ e)

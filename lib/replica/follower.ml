@@ -23,20 +23,6 @@ type boot = {
   b_torn_bytes : int array;
 }
 
-let apply_mutation svc m =
-  let req =
-    match m with
-    | Codec.Set { key; value } -> Codec.Put { key; value }
-    | Codec.Unset key -> Codec.Del key
-  in
-  match Shard.call svc ~tid:0 req with
-  | Codec.Created | Codec.Updated | Codec.Deleted | Codec.Not_found -> ()
-  | r ->
-      failwith
-        (Printf.sprintf "replica: follower apply of %s answered %s"
-           (Codec.mutation_to_string m)
-           (Codec.reply_to_string r))
-
 let create ~structure ~scheme (cfg : Shard.config) ~pull ?store () =
   let svc = Shard.create ~structure ~scheme { cfg with Shard.hook = Shard.no_hook } in
   let n = cfg.Shard.shards in
@@ -64,10 +50,11 @@ let create ~structure ~scheme (cfg : Shard.config) ~pull ?store () =
           match Snapshot.load_chain ~store ~shard with
           | None -> 0
           | Some c ->
-              List.iter
-                (fun (key, value) ->
-                  apply_mutation svc (Codec.Set { key; value }))
-                c.Snapshot.c_bindings;
+              Primary.replay svc
+                (Array.of_list
+                   (List.map
+                      (fun (key, value) -> Codec.Set { key; value })
+                      c.Snapshot.c_bindings));
               b_snap.(shard) <- List.length c.Snapshot.c_bindings;
               c.Snapshot.c_seq
         in
@@ -82,30 +69,32 @@ let create ~structure ~scheme (cfg : Shard.config) ~pull ?store () =
                   snapshot covers only up to %d"
                  shard first snap_seq)
         | _ -> ());
-        List.iter (fun (_, m) -> apply_mutation svc m) tail;
+        Primary.replay svc (Array.of_list (List.map snd tail));
         b_rep.(shard) <- List.length tail;
         Atomic.set t.applied.(shard) (max snap_seq r.Wal.r_last_seq)
       done);
   (t, { b_snap_bindings = b_snap; b_replayed = b_rep; b_torn_bytes = b_torn })
 
+(* Continuity first, over the whole batch: a gap fails before any of
+   it applies.  Seqs at or below the running cursor are an overlapping
+   pull and are skipped. *)
 let apply_records t ~shard records =
-  let n = ref 0 in
-  List.iter
-    (fun (seq, m) ->
-      let cur = Atomic.get t.applied.(shard) in
-      if seq <= cur then ()  (* already applied: an overlapping pull *)
-      else if seq <> cur + 1 then
-        failwith
-          (Printf.sprintf
-             "replica: shard %d stream gap: got seq %d after applied %d" shard
-             seq cur)
-      else begin
-        apply_mutation t.svc m;
-        Atomic.set t.applied.(shard) seq;
-        incr n
-      end)
-    records;
-  !n
+  let from = Atomic.get t.applied.(shard) in
+  let cur, fresh =
+    List.fold_left
+      (fun (cur, acc) (seq, m) ->
+        if seq <= cur then (cur, acc)
+        else if seq <> cur + 1 then
+          failwith
+            (Printf.sprintf
+               "replica: shard %d stream gap: got seq %d after applied %d"
+               shard seq cur)
+        else (seq, m :: acc))
+      (from, []) records
+  in
+  Primary.replay t.svc (Array.of_list (List.rev fresh));
+  Atomic.set t.applied.(shard) cur;
+  cur - from
 
 let step t ~shard ?(max = Codec.rep_batch_max) () =
   let from = Atomic.get t.applied.(shard) in

@@ -6,7 +6,9 @@
     ({!Primary.handle}) in tests and experiments, or over a socket
     ([Conn.call_fd]) in the daemon — and applies the records in seq
     order through its own data path, with a hard continuity check: a
-    stream gap is a loud failure, never a silent skip.
+    stream gap is a loud failure, never a silent skip.  Each batch is
+    continuity-checked as a whole first, then applied as one windowed
+    {!Primary.replay}; [applied] advances once it has drained.
 
     [lag = last_committed - applied] per shard is exported as
     [replica_lag_frames]; per-batch apply time feeds
@@ -41,7 +43,8 @@ val create :
 val step :
   t -> shard:int -> ?max:int -> unit -> [ `Applied of int | `Uptodate | `Err of string ]
 (** One pull-and-apply round for the shard.
-    @raise Failure on a sequence gap in the stream. *)
+    @raise Failure on a sequence gap in the stream (before any of the
+    batch applies). *)
 
 val sync : ?max_rounds:int -> t -> int
 (** Step every shard until all report [`Uptodate]; returns records

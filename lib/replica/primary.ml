@@ -110,21 +110,25 @@ let next_dirty_cap t ~shard cur =
   t.dirty_caps.(shard) <- cap';
   cap'
 
-(* Recovered mutations re-enter through the data path (same hashing,
-   same shard, same map discipline).  Any reply outside the expected
-   set means the replayed history is inconsistent — fail loudly. *)
-let apply_mutation svc m =
-  let req =
-    match m with
-    | Codec.Set { key; value } -> Codec.Put { key; value }
-    | Codec.Unset key -> Codec.Del key
-  in
-  match Shard.call svc ~tid:0 req with
-  | Codec.Created | Codec.Updated | Codec.Deleted | Codec.Not_found -> ()
-  | r ->
+(* Recovered or streamed mutations re-enter through the data path
+   (same hashing, same shard, same map discipline), windowed and in
+   order.  Any reply outside the expected set means the replayed
+   history is inconsistent — fail loudly once every reply is in (the
+   check itself runs on the consumers, which must not raise). *)
+let replay svc muts =
+  let bad = Atomic.make None in
+  Shard.pipeline svc ~tid:0 ~n:(Array.length muts)
+    ~on_reply:(fun i r ->
+      match r with
+      | Codec.Created | Codec.Updated | Codec.Deleted | Codec.Not_found -> ()
+      | r -> ignore (Atomic.compare_and_set bad None (Some (i, r))))
+    (fun i -> Codec.request_of_mutation muts.(i));
+  match Atomic.get bad with
+  | None -> ()
+  | Some (i, r) ->
       failwith
         (Printf.sprintf "replica: replay of %s answered %s"
-           (Codec.mutation_to_string m)
+           (Codec.mutation_to_string muts.(i))
            (Codec.reply_to_string r))
 
 let create ~structure ~scheme (cfg : Shard.config) ~store ?segment_bytes
@@ -172,9 +176,13 @@ let create ~structure ~scheme (cfg : Shard.config) ~store ?segment_bytes
         match Snapshot.load_chain ~store ~shard:i with
         | None -> 0
         | Some c ->
-            List.iter
-              (fun (key, value) -> apply_mutation svc (Codec.Set { key; value }))
-              c.Snapshot.c_bindings;
+            (* Drained before the dirty cell below goes live: [replay]
+               returns only once every binding's reply is in. *)
+            replay svc
+              (Array.of_list
+                 (List.map
+                    (fun (key, value) -> Codec.Set { key; value })
+                    c.Snapshot.c_bindings));
             b_snap.(i) <- List.length c.Snapshot.c_bindings;
             meta.(i).m_base <- Some c.Snapshot.c_base_seq;
             meta.(i).m_last <- c.Snapshot.c_seq;
@@ -187,7 +195,7 @@ let create ~structure ~scheme (cfg : Shard.config) ~store ?segment_bytes
       if delta then Atomic.set dirty.(i) (Dirty.create ~cap:dirty_cap);
       match Wal.read_from wal ~from:snap_seq ~max:max_int with
       | `Batch (records, _) ->
-          List.iter (fun (_, m) -> apply_mutation svc m) records;
+          replay svc (Array.of_list (List.map snd records));
           b_rep.(i) <- List.length records
       | `Too_old base ->
           failwith

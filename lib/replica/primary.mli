@@ -23,8 +23,9 @@
     {!Dirty.none} and the hot path pays one physical-equality check.
 
     Bootstrap on {!create}: newest snapshot {e chain} (if any) then
-    WAL replay from its tip seq, with logging disabled so recovery
-    never re-appends what it reads.  Chain bindings apply with dirty
+    WAL replay from its tip seq — windowed, per shard, in log order
+    ({!replay}) — with logging disabled so recovery never re-appends
+    what it reads.  Chain bindings apply with dirty
     tracking {e off} — they are base state the chain already covers,
     and recording them would bloat (or poison) the first post-boot
     delta.  WAL replay then records dirty keys normally, because
@@ -87,7 +88,10 @@ val create :
   unit ->
   t * boot
 (** The given config's [hook] field is replaced by the WAL hook.
-    Bootstrap uses client tid 0 synchronously before returning.
+    Bootstrap uses client tid 0 and completes before returning: each
+    shard's chain bindings, then its WAL tail, go through one
+    {!replay} each, and the shard's dirty cell goes live only after
+    the chain's replay has drained.
     [delta] (default off) enables dirty-key tracking; [dirty_cap]
     (default 16384, rounded up to a power of two) is each set's
     {e starting} bound — past half occupancy it poisons and the next
@@ -95,6 +99,16 @@ val create :
     from the observed write-set (see {!t.dirty_caps});
     [compact_every] (default 8) bounds chain length.
     @raise Wal.Corrupt / {!Snapshot.Corrupt} on damaged acked history. *)
+
+val replay : Service.Shard.t -> Service.Codec.mutation array -> unit
+(** Re-apply recovered or streamed history through the data path
+    under client tid 0: one {!Service.Shard.pipeline} (windowed, in
+    array order per shard) of {!Service.Codec.request_of_mutation}s.
+    Returns once every mutation has applied.  The bulk-apply path of
+    primary boot and of {!Follower} boot and apply.
+    @raise Failure (naming the mutation and the reply) if any
+    reply is outside [Created]/[Updated]/[Deleted]/[Not_found] — the
+    replayed history is inconsistent. *)
 
 val set_tap : t -> tap -> unit
 (** Install the mutation observer.  Install at wiring time, before

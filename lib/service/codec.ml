@@ -722,6 +722,10 @@ let mutation_of_exec req reply =
   | Putb _, _ -> None
   | _ -> None
 
+let request_of_mutation = function
+  | Set { key; value } -> Put { key; value }
+  | Unset k -> Del k
+
 let mutation_to_string = function
   | Set { key; value } -> Printf.sprintf "SET %d=%d" key value
   | Unset k -> Printf.sprintf "UNSET %d" k

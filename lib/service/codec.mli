@@ -179,6 +179,11 @@ val mutation_of_exec : request -> reply -> mutation option
     pair — what the durability hook appends to the WAL.  [None] for
     reads, misses, failed CASes, sheds and errors. *)
 
+val request_of_mutation : mutation -> request
+(** The absolute write that re-applies a logged mutation ([Set] ->
+    [Put], [Unset] -> [Del]) — how recovered or streamed history
+    re-enters the data path. *)
+
 val mutation_to_string : mutation -> string
 
 val rep_batch_max : int

@@ -715,43 +715,43 @@ let call t ~tid req =
   done;
   Option.get (Atomic.get cell)
 
-let pipeline t ~tid ?(window = 128) ~n gen =
+(* Ordered windowed submit.  [Shed] only ever comes back
+   synchronously from [submit] (consumers never produce it), so a shed
+   request is resubmitted before request [i+1] is mailed and each
+   shard's FIFO mailbox sees the requests in index order. *)
+let pipeline t ~tid ?(window = 128) ?(on_reply = fun _ _ -> ()) ~n gen =
   let outstanding = Atomic.make 0 in
-  let retry = Atomic.make [] in
   let p = Prims.Parker.local () in
-  let rec push_retry i =
-    let old = Atomic.get retry in
-    if not (Atomic.compare_and_set retry old (i :: old)) then push_retry i
-  in
-  let submit1 i =
-    Atomic.incr outstanding;
-    t.submit ~tid (gen i) (fun reply ->
-        (* A shed request goes back in the queue; a post-stop [Error]
-           must not (it would retry forever). *)
-        (match reply with Codec.Shed -> push_retry i | _ -> ());
-        ignore (Atomic.fetch_and_add outstanding (-1));
-        Prims.Parker.wake p)
-  in
   let wait limit =
     let below () = Atomic.get outstanding <= limit in
     while not (below ()) do
       Prims.Parker.park p ~ready:below
     done
   in
+  let backoff = Prims.Backoff.create () in
+  let rec send i req =
+    let shed = ref false in
+    Atomic.incr outstanding;
+    t.submit ~tid req (fun reply ->
+        match reply with
+        | Codec.Shed ->
+            shed := true;
+            Atomic.decr outstanding
+        | r ->
+            on_reply i r;
+            Atomic.decr outstanding;
+            Prims.Parker.wake p);
+    if !shed then begin
+      (* One of our own replies landing frees a mailbox slot; with
+         none outstanding, other producers hold the mailbox. *)
+      let o = Atomic.get outstanding in
+      if o > 0 then wait (o - 1) else Prims.Backoff.once backoff;
+      send i req
+    end
+    else Prims.Backoff.reset backoff
+  in
   for i = 0 to n - 1 do
     wait (window - 1);
-    submit1 i
+    send i (gen i)
   done;
-  let rec drain () =
-    wait 0;
-    match Atomic.exchange retry [] with
-    | [] -> ()
-    | is ->
-        List.iter
-          (fun i ->
-            wait (window - 1);
-            submit1 i)
-          is;
-        drain ()
-  in
-  drain ()
+  wait 0

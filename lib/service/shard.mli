@@ -26,9 +26,10 @@
 
     Nobody waits on a shard by sleeping.  An idle consumer parks on a
     {!Prims.Parker} that {!t.submit}, {!t.stop}, {!t.crash} and
-    {!t.set_stalled} wake; {!call}, {!pipeline} and the cluster's
-    migration ingest park on their reply condition with the calling
-    domain's {!Prims.Parker.local}.  That domain-local parker is sound
+    {!t.set_stalled} wake; {!call} and {!pipeline} (the bulk-apply
+    path of boot replay, follower apply and the cluster's migration
+    ingest) park on their reply condition with the calling domain's
+    {!Prims.Parker.local}.  That domain-local parker is sound
     because the library and its executables spawn domains, never
     systhreads: at most one thread per domain waits at a time. *)
 
@@ -251,11 +252,35 @@ val call : t -> tid:int -> Codec.request -> Codec.reply
     domain's parker until the reply callback wakes it.  The
     closed-loop client primitive. *)
 
-val pipeline : t -> tid:int -> ?window:int -> n:int -> (int -> Codec.request) -> unit
-(** Windowed bulk submit: requests [gen 0 .. gen (n-1)] with up to
-    [window] (default 128) in flight, shed requests resubmitted,
-    returning once every request has a non-shed reply.  The bulk-load
-    primitive: {!val-call}'s one-at-a-time handshake pays a producer/
-    consumer wakeup per request when domains outnumber cores;
-    windowing amortizes it across the mailbox.  Single producer — all
+val pipeline :
+  t ->
+  tid:int ->
+  ?window:int ->
+  ?on_reply:(int -> Codec.reply -> unit) ->
+  n:int ->
+  (int -> Codec.request) ->
+  unit
+(** Ordered windowed bulk submit: requests [gen 0 .. gen (n-1)] with
+    up to [window] (default 128) in flight, returning once every
+    request has a non-shed reply.  The bulk-apply primitive — boot
+    replay, follower apply, migration ingest, prefill: {!val-call}'s
+    one-at-a-time handshake pays a producer/consumer wakeup per
+    request, windowing amortizes it across a drained run.
+
+    {b Order.}  Request [i] is mailed before request [i+1].  A shed
+    comes back synchronously from {!t.submit}, and the shed request is
+    resubmitted {e before} the next one is generated, so every shard's
+    FIFO mailbox — hence its map — sees the requests in index order:
+    writes to one key apply in the order given.
+
+    {b Shed wait.}  While requests of its own are outstanding, the
+    caller parks on its domain's {!Prims.Parker.local} until one
+    lands (which frees a slot); with none outstanding, other
+    producers hold the mailbox, so it spins a {!Prims.Backoff}.  It
+    never sleeps.
+
+    {b Replies.}  [on_reply i r] fires exactly once per index with its
+    non-shed reply, on the shard consumer's domain (a post-{!t.stop}
+    [Error] fires synchronously on the caller's) — it must not raise
+    or block — and every call has returned before [pipeline] does.  Single producer: all
     submissions ride the one [tid] slot. *)

@@ -1235,6 +1235,94 @@ let test_bootstrap_chain_bindings_not_dirty () =
   let expected = Chaos.Oracle.replay_state ~ops:(List.rev !ops) in
   Alcotest.(check (list (pair int int))) "state = oracle" expected live
 
+let test_boot_replay_small_mailbox () =
+  (* Boot replay is windowed (up to 128 in flight) through mailboxes
+     that hold 2: most submissions shed and are resubmitted.  A
+     resubmission that overtook a later write to the same key would
+     leave a stale value, and the history below rewrites each key
+     many times — base, delta and log tail all included. *)
+  let store, _ = Store.Mem.create () in
+  let ops = ref [] in
+  let p, _ =
+    Primary.create ~structure:hashmap ~scheme:hyaline ~delta:true (mk_cfg ())
+      ~store ()
+  in
+  let svc = p.Primary.svc in
+  let value = ref 0 in
+  let exec req = ops := (req, Shard.call svc ~tid:0 req) :: !ops in
+  (* Runs of Set/Unset over the same keys: every key is written,
+     deleted and rewritten; keys 0 mod 3 end a run deleted. *)
+  let runs ~keys ~rounds =
+    for _ = 1 to rounds do
+      for key = 0 to keys - 1 do
+        for _ = 1 to 3 do
+          incr value;
+          exec (Codec.Put { key; value = !value })
+        done;
+        exec (Codec.Del key);
+        if key mod 3 <> 0 then begin
+          incr value;
+          exec (Codec.Put { key; value = !value })
+        end
+      done
+    done
+  in
+  runs ~keys:48 ~rounds:2;
+  for shard = 0 to 1 do
+    ignore (Primary.snapshot_shard p ~shard ~mode:`Full ())
+  done;
+  runs ~keys:24 ~rounds:2;
+  for shard = 0 to 1 do
+    let f, _ = Primary.snapshot_shard p ~shard ~mode:`Delta () in
+    Alcotest.(check bool) "fixture chain has a delta" true
+      (String.length f >= 5 && String.sub f 0 5 = "delta")
+  done;
+  let at_chain_tip = Chaos.Oracle.replay_state ~ops:(List.rev !ops) in
+  let ops_at_tip = List.length !ops in
+  runs ~keys:16 ~rounds:6;
+  Primary.stop p;
+  let history = List.rev !ops in
+  let expected = Chaos.Oracle.replay_state ~ops:history in
+  let per_shard f l =
+    List.init 2 (fun shard ->
+        List.length (List.filter (fun x -> svc.Shard.shard_of_key (f x) = shard) l))
+  in
+  let want_snap = per_shard fst at_chain_tip in
+  let want_replayed =
+    List.filteri (fun i _ -> i >= ops_at_tip) history
+    |> List.filter (fun (req, reply) -> Codec.mutation_of_exec req reply <> None)
+    |> per_shard (fun (req, _) -> Codec.key_of_request req)
+  in
+  Alcotest.(check bool) "fixture has a log tail" true
+    (List.fold_left ( + ) 0 want_replayed > 0);
+  let cfg = { (mk_cfg ()) with Shard.mailbox_capacity = 2 } in
+  let f, fboot =
+    Follower.create ~structure:hashmap ~scheme:hyaline cfg
+      ~pull:(fun ~shard:_ ~from:_ ~max:_ -> Codec.Error "no primary")
+      ~store ()
+  in
+  let followed = follower_state f in
+  Follower.stop f;
+  let p2, boot =
+    Primary.create ~structure:hashmap ~scheme:hyaline ~delta:true cfg ~store ()
+  in
+  let recovered = primary_state p2 in
+  let sheds = p2.Primary.svc.Shard.sheds () in
+  Primary.stop p2;
+  Alcotest.(check bool) "boot replay was shed at the mailbox" true (sheds > 0);
+  Alcotest.(check (list int)) "primary chain bindings" want_snap
+    (Array.to_list boot.Primary.b_snap_bindings);
+  Alcotest.(check (list int)) "primary replayed records" want_replayed
+    (Array.to_list boot.Primary.b_replayed);
+  Alcotest.(check (list (pair int int))) "primary boot = oracle" expected
+    recovered;
+  Alcotest.(check (list int)) "follower chain bindings" want_snap
+    (Array.to_list fboot.Follower.b_snap_bindings);
+  Alcotest.(check (list int)) "follower replayed records" want_replayed
+    (Array.to_list fboot.Follower.b_replayed);
+  Alcotest.(check (list (pair int int))) "follower boot = oracle" expected
+    followed
+
 (* ------------------------------------------------------------------ *)
 (* Real-disk crash shapes: zero tails and a seeded crash fuzz *)
 
@@ -1453,5 +1541,8 @@ let suites =
           test_bootstrap_chain_bindings_not_dirty;
         Alcotest.test_case "fs crash fuzz = acked history" `Quick
           test_fs_crash_fuzz;
+        Alcotest.test_case
+          "boot replay under a mailbox smaller than the window = oracle" `Quick
+          test_boot_replay_small_mailbox;
       ] );
   ]

@@ -114,6 +114,42 @@ let make_svc ?(shards = 2) ?(clients = 2) ?(mailbox_capacity = 64)
       mailbox_capacity;
     }
 
+let test_pipeline_order_under_sheds () =
+  (* A 2-slot mailbox under a 128-request window sheds most
+     submissions.  Writes to one key must still apply in index order:
+     every key ends at its last written value, and each index gets
+     exactly one (non-shed) reply. *)
+  let svc = make_svc ~mailbox_capacity:2 () in
+  Fun.protect
+    ~finally:(fun () -> svc.Service.Shard.stop ())
+    (fun () ->
+      let n = 2000 and keys = 8 in
+      let replies = Array.init n (fun _ -> Atomic.make 0) in
+      let non_shed = Atomic.make true in
+      Service.Shard.pipeline svc ~tid:0 ~window:128 ~n
+        ~on_reply:(fun i r ->
+          if r = Service.Codec.Shed then Atomic.set non_shed false;
+          Atomic.incr replies.(i))
+        (fun i -> Service.Codec.Put { key = i mod keys; value = i + 1 });
+      Alcotest.(check bool) "the window outran the mailbox" true
+        (svc.Service.Shard.sheds () > 0);
+      Alcotest.(check bool) "on_reply never sees a shed" true
+        (Atomic.get non_shed);
+      Array.iteri
+        (fun i c ->
+          if Atomic.get c <> 1 then
+            Alcotest.failf "index %d got %d replies" i (Atomic.get c))
+        replies;
+      for key = 0 to keys - 1 do
+        let last = n - keys + key + 1 in
+        match Service.Shard.call svc ~tid:0 (Service.Codec.Get key) with
+        | Service.Codec.Value v ->
+            Alcotest.(check int) (Printf.sprintf "key %d final value" key) last v
+        | r ->
+            Alcotest.failf "key %d answered %s" key
+              (Service.Codec.reply_to_string r)
+      done)
+
 let test_loopback_opcodes () =
   let svc = make_svc () in
   Fun.protect
@@ -905,6 +941,8 @@ let suites =
       [
         Alcotest.test_case "loopback opcodes" `Quick test_loopback_opcodes;
         Alcotest.test_case "shed at capacity" `Quick test_shed_at_capacity;
+        Alcotest.test_case "pipeline keeps per-shard order under sheds" `Quick
+          test_pipeline_order_under_sheds;
         Alcotest.test_case "unix socket round-trip" `Quick test_unix_socket;
         Alcotest.test_case "abrupt disconnects never wedge the event loop"
           `Quick
