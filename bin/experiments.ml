@@ -551,9 +551,8 @@ let serve_transport_one ~kind ~(scheme : Registry.scheme) ~structure_name
         clients;
         mailbox_capacity = mailbox_cap;
         seed;
-        (* Both transports get the same service shape; only shm's
-           multiplexer can actually use the zero-copy slot for inline
-           GETs — that asymmetry is the thing being measured. *)
+        (* Both transports get the same service shape, and both
+           serving domains lease the slot to answer GETs inline. *)
         zc_readers = 1;
       }
   in
@@ -656,8 +655,9 @@ let run_serve_transport ~sc ~ds ~schemes ~shards ~transport ~mixname
 (* serve --smoke: the CI gate for the shm transport.
    1. Roundtrip identity — the same seeded request stream through a
       unix-socket client and an shm client against identically-built
-      services must produce byte-identical reply sequences (one codec,
-      two wires).
+      services, and through a unix client against a service with no
+      zero-copy slot (every GET routed), must produce byte-identical
+      reply sequences (one codec, two wires, two read paths).
    2. Stalled zero-copy reader — a client parks inside its
       enter/leave bracket while writers churn; the robust scheme keeps
       the unreclaimed backlog bounded, EBR pins everything retired
@@ -711,8 +711,11 @@ let smoke_stalled_backlog ~scheme_name =
 let run_serve_smoke () =
   let problems = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
-  (* 1: roundtrip identity, unix vs shm, same seed. *)
-  let mk_svc () =
+  (* 1: roundtrip identity, same seed: unix and shm, both answering
+     GETs inline through a zero-copy slot, and unix with no slot, so
+     every GET is routed.  Three identical traces prove the
+     bracketed-read path and the routed path give the same answers. *)
+  let mk_svc ~zc_readers =
     Service.Shard.create
       ~structure:(Registry.find_structure "hashmap")
       ~scheme:(Registry.find_scheme "hyaline")
@@ -721,10 +724,7 @@ let run_serve_smoke () =
         Service.Shard.shards = 2;
         clients = 2;
         seed = 7;
-        (* The shm server answers GETs inline through this slot; the
-           identity gate then proves the bracketed-read path and the
-           routed path give the same answers. *)
-        zc_readers = 1;
+        zc_readers;
       }
   in
   let stream =
@@ -732,33 +732,42 @@ let run_serve_smoke () =
       ~dist:(Keydist.uniform ~range:256)
       ~mix:Service.Loadgen.write_heavy ~n:400
   in
-  let trace kind =
-    let svc = mk_svc () in
+  let trace ~zc_readers kind =
+    let svc = mk_svc ~zc_readers in
     let path = transport_path ("smoke." ^ kind) in
     let stop_server = transport_serve kind svc ~path in
     let r = smoke_reply_trace kind ~path stream in
     stop_server ();
     svc.Service.Shard.stop ();
+    let inline = Atomic.get svc.Service.Shard.inline_gets in
+    (* Otherwise the identity below would not cover the inline path. *)
+    if zc_readers > 0 && inline = 0 then
+      fail "%s trace: no GET was answered inline" kind;
     r
   in
-  let unix_replies = trace "unix" in
-  let shm_replies = trace "shm" in
-  if unix_replies <> shm_replies then begin
-    let diverge =
-      let rec go i us ss =
-        match (us, ss) with
-        | u :: _, s :: _ when u <> s -> Printf.sprintf "op %d: %s vs %s" i u s
-        | _ :: us, _ :: ss -> go (i + 1) us ss
-        | _ -> "length mismatch"
-      in
-      go 0 unix_replies shm_replies
+  let unix_replies = trace ~zc_readers:1 "unix" in
+  let shm_replies = trace ~zc_readers:1 "shm" in
+  let routed_replies = trace ~zc_readers:0 "unix" in
+  let diverge us ss =
+    let rec go i us ss =
+      match (us, ss) with
+      | u :: _, s :: _ when u <> s -> Printf.sprintf "op %d: %s vs %s" i u s
+      | _ :: us, _ :: ss -> go (i + 1) us ss
+      | _ -> "length mismatch"
     in
-    fail "transport identity: unix and shm reply traces diverge (%s)" diverge
-  end
+    go 0 us ss
+  in
+  if unix_replies <> shm_replies then
+    fail "transport identity: unix and shm reply traces diverge (%s)"
+      (diverge unix_replies shm_replies)
+  else if unix_replies <> routed_replies then
+    fail
+      "transport identity: inline and routed unix reply traces diverge (%s)"
+      (diverge unix_replies routed_replies)
   else
     Format.printf
-      "serve smoke: %d-op seeded stream — unix and shm reply traces \
-       identical@."
+      "serve smoke: %d-op seeded stream — unix, shm and routed unix reply \
+       traces identical@."
       (List.length stream);
   (* 2: stalled zero-copy reader. *)
   let robust = smoke_stalled_backlog ~scheme_name:"hyalines" in

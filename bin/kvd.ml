@@ -110,10 +110,10 @@ let daemon ~socket ~transport ~loop ~scheme ~structure ~shards ~clients
       clients;
       mailbox_capacity = mailbox_cap;
       batch;
-      (* The shm multiplexer answers GETs inline through a bracketed
-         zero-copy read when it has a slot; the socket path has no
-         single serving domain to lease one to. *)
-      zc_readers = (match transport with `Shm -> 1 | `Unix -> 0);
+      (* Either transport serves from one domain (the shm multiplexer,
+         the socket event loop), which leases this slot and answers
+         GETs inline from committed state (Shard.read_inline). *)
+      zc_readers = 1;
       arena = arena_t;
     }
   in

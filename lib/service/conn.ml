@@ -153,7 +153,9 @@ let connect_unix ~path =
    Fan-in economics: the whole loop is one domain and one producer tid
    (tid 0 — the pump is one submitter, and transparent schemes need
    nothing more), so the connection count is bounded by a 1024 cap and
-   fd limits, not by [Shard.t.clients] or the runtime's domain cap. *)
+   fd limits, not by [Shard.t.clients] or the runtime's domain cap.
+   Being one domain, the pump can also hold one zero-copy slot and
+   answer GETs itself from the live maps ([Shard.read_inline]). *)
 
 type econn = {
   ec_fd : Unix.file_descr;
@@ -186,6 +188,9 @@ type server = {
   e_conns : (int, econn) Hashtbl.t;  (* raw fd -> conn; pump domain only *)
   e_exec : Codec.request -> Codec.reply option;
       (* the ext fast path; [None] falls through to an async submit *)
+  e_zc_slot : int option;
+      (* zero-copy slot the pump answers GETs inline under; [None] when
+         the service has none to lease or stores arena references *)
   e_completions : (econn * int * Codec.reply) list Atomic.t;
   e_wake_r : Unix.file_descr;
   e_wake_w : Unix.file_descr;
@@ -430,9 +435,10 @@ let ec_submit_pending srv c =
    (unbounded work: migration ingest, snapshot traversals) go to the
    worker domain and complete through the completion stack; the rest
    of the ext handler answers inline on the pump (redirect checks,
-   table reads — bounded work); data requests go through the async
-   submit under the pump's single tid, completing from the shard
-   consumer's domain. *)
+   table reads — bounded work); a GET is answered on the pump from
+   committed state when [Shard.read_inline] accepts it; every other
+   data request goes through the async submit under the pump's single
+   tid, completing from the shard consumer's domain. *)
 let ec_dispatch srv c payload =
   let seq = c.ec_next_seq in
   c.ec_next_seq <- seq + 1;
@@ -451,12 +457,26 @@ let ec_dispatch srv c payload =
         Condition.signal srv.e_work_cond;
         Mutex.unlock srv.e_work_lock
       end
-      else (
+      else
         match ec_exec_ext srv req with
         | Some r -> ec_complete srv c seq r
-        | None ->
-            Queue.push (seq, req) c.ec_pending;
-            ec_submit_pending srv c)
+        | None -> (
+            let inline =
+              (* Inline only with every earlier request on this
+                 connection answered, so its replies keep their
+                 order and a GET sees the connection's own writes. *)
+              match (req, srv.e_zc_slot) with
+              | Codec.Get key, Some slot
+                when seq = c.ec_flush_seq && Queue.is_empty c.ec_pending ->
+                  Shard.read_inline srv.e_svc ~slot key
+              | _ -> None
+            in
+            match inline with
+            | Some (Some v) -> ec_complete srv c seq (Codec.Value v)
+            | Some None -> ec_complete srv c seq Codec.Not_found
+            | None ->
+                Queue.push (seq, req) c.ec_pending;
+                ec_submit_pending srv c)
 
 (* The deferred-ext worker: one domain draining [e_work] in order
    (FIFO keeps one client's control ops serialized), completing
@@ -751,6 +771,10 @@ let serve_unix svc ~path ?(backlog = 16) ?(faults = Faults.none) ?ext
       e_poll = poll;
       e_conns = Hashtbl.create 64;
       e_exec = exec;
+      e_zc_slot =
+        (* An arena-backed map holds references, which only the shm
+           transport can answer. *)
+        (if svc.Shard.arena = None then svc.Shard.zc_lease () else None);
       e_completions = Atomic.make [];
       e_wake_r = wake_r;
       e_wake_w = wake_w;
@@ -797,6 +821,7 @@ let shutdown srv =
         Domain.join d;
         srv.e_worker <- None
     | None -> ());
+    Option.iter srv.e_svc.Shard.zc_release srv.e_zc_slot;
     try Unix.unlink srv.e_path with Unix.Unix_error _ -> ()
   end
 

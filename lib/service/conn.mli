@@ -11,7 +11,8 @@
       daemon path used by [bin/kvd.exe] — one event-loop domain holds
       every connection and submits them all under one producer tid
       (the paper's transparency: a reader needs no registration, so
-      connections need none either).
+      connections need none either), and answers GETs itself from
+      committed state inside a bracket.
     - Shared memory ([Shm_conn], its own module — same frames, over
       mmap'd SPSC rings with no syscall per op on the hot path; each
       connection leases its own producer tid, so connection churn
@@ -132,6 +133,16 @@ val serve_unix :
     [None] falls through to the shard mailboxes.  Malformed frames get
     an [Error] reply, then the connection closes.
 
+    {b Inline GETs.}  When the service has a zero-copy slot to lease
+    ([zc_readers >= 1]) and is not arena-backed, the pump leases one
+    for its lifetime ({!shutdown} returns it) and answers a [Get] that
+    [ext] declined through {!Shard.read_inline}: a bracketed read of
+    the live map that only accepts committed state.  It tries this
+    only when every earlier request on the connection has been
+    answered, so replies keep their order and a GET sees the
+    connection's own writes.  A declined read takes the mailbox like
+    any other request.
+
     Contracts on [ext]:
 
     - {b Purity on declined requests}: the handler may be consulted
@@ -153,8 +164,8 @@ val serve_unix :
       never the pump. *)
 
 val shutdown : server -> unit
-(** Stop accepting, wake the pump, join server domains,
-    unlink the socket path.  Idempotent.  Does NOT stop the service. *)
+(** Stop accepting, wake the pump, join server domains, release the
+    zero-copy slot, unlink the socket path.  Idempotent.  Does NOT stop the service. *)
 
 val faults : server -> Faults.t
 (** The server's fault block (arm counters on it mid-run). *)

@@ -85,6 +85,9 @@ type t = {
   zc_enter : slot:int -> unit;
   zc_leave : slot:int -> unit;
   zc_get : slot:int -> int -> int option;
+  commit_epoch : int -> int;
+  inline_gets : int Atomic.t;
+  inline_declined : int Atomic.t;
   arena : Shmalloc.Arena.t option;
   set_admit : admit -> unit;
   stop : unit -> unit;
@@ -136,6 +139,13 @@ module Core (T : Smr.Tracker.S) (Mk : Dstruct.Map_intf.MAKER) = struct
        (the reaper also requires a confirmed-dead domain). *)
     heartbeat : int Atomic.t;
     shard_processed : int Atomic.t;
+    (* Even while the map holds only committed state.  The hooked
+       consumer makes it odd before a run's first non-read executes
+       and even again once [h_commit] returns; a run that raises
+       leaves it odd for good (the map may hold its unacked writes).
+       [read_inline] accepts a read only if it saw the same even value
+       before and after it. *)
+    epoch : int Atomic.t;
     (* At most one snapshot reader holds the map's tid-1 bracket. *)
     snap_busy : bool Atomic.t;
     mutable consumer : unit Domain.t option;
@@ -275,6 +285,7 @@ module Core (T : Smr.Tracker.S) (Mk : Dstruct.Map_intf.MAKER) = struct
             dead = Atomic.make false;
             heartbeat = Atomic.make 0;
             shard_processed = Atomic.make 0;
+            epoch = Atomic.make 0;
             snap_busy = Atomic.make false;
             consumer = None;
           })
@@ -325,12 +336,23 @@ module Core (T : Smr.Tracker.S) (Mk : Dstruct.Map_intf.MAKER) = struct
            and the exception propagates: the consumer dies as a
            crashed primary, never acking what is not on disk. *)
         let acked = ref [] in
+        let marked = ref false in
         (try
            let i = ref 0 in
            List.iter
              (fun env ->
                incr i;
                if !i mod c.trim_every = 0 then Map.trim sh.map ~tid:0;
+               (match env.req with
+               | Codec.Get _ | Codec.Getc _ -> ()
+               | _ ->
+                   (* An odd epoch on entry is a raised run's: it
+                      stays odd for good. *)
+                   if (not !marked) && Atomic.get sh.epoch land 1 = 0
+                   then begin
+                     marked := true;
+                     Atomic.incr sh.epoch
+                   end);
                let reply =
                  try exec_env env
                  with e -> Codec.Error (Printexc.to_string e)
@@ -346,6 +368,7 @@ module Core (T : Smr.Tracker.S) (Mk : Dstruct.Map_intf.MAKER) = struct
            raise e);
         Map.leave sh.map ~tid:0;
         c.hook.h_commit ~shard:sh.idx;
+        if !marked then Atomic.incr sh.epoch;
         List.iter
           (fun (env, reply) ->
             Slo.record slo ~ns:(Obs.Clock.now_ns () - env.born_ns);
@@ -577,6 +600,15 @@ module Core (T : Smr.Tracker.S) (Mk : Dstruct.Map_intf.MAKER) = struct
       let sh = shards.(shard_of_key k) in
       Map.get sh.map ~tid:(2 + slot) k
     in
+    (* An installed admission filter reads as a commit in flight on
+       every shard: ownership is only judged on the consumer, so a
+       node with a filter answers no GET inline. *)
+    let commit_epoch i =
+      if Atomic.get admit_cell != admit_all then 1
+      else Atomic.get shards.(i).epoch
+    in
+    let inline_gets = Atomic.make 0 in
+    let inline_declined = Atomic.make 0 in
     let gauges () =
       let per_shard =
         Array.to_list shards
@@ -597,6 +629,8 @@ module Core (T : Smr.Tracker.S) (Mk : Dstruct.Map_intf.MAKER) = struct
       @ [
           ("kv_shed_total", Atomic.get sheds);
           ("kv_processed_total", processed ());
+          ("kv_inline_gets", Atomic.get inline_gets);
+          ("kv_inline_declined", Atomic.get inline_declined);
           ( "kv_ctl_unreclaimed",
             Smr.Stats.unreclaimed_of (Smr.Stats.snapshot (T.stats ctl_tracker))
           );
@@ -679,6 +713,9 @@ module Core (T : Smr.Tracker.S) (Mk : Dstruct.Map_intf.MAKER) = struct
       zc_enter;
       zc_leave;
       zc_get;
+      commit_epoch;
+      inline_gets;
+      inline_declined;
       arena = c.arena;
       set_admit = (fun a -> Atomic.set admit_cell a);
       stop;
@@ -699,6 +736,37 @@ let create ~(structure : Workload.Registry.structure)
   let module C = Core (T) (Mk) in
   C.make ~scheme_name:scheme.Workload.Registry.s_name
     ~structure_name:structure.Workload.Registry.d_name c
+
+(* Only through [t]'s fields, so a wrapped [t] (a tracing probe) sees
+   every inline read.  An epoch even and unchanged across the bracket
+   means every write the read can have seen belongs to a run whose
+   commit had returned: the consumer marks odd before its first write
+   and map publications are atomic, so a read that sees a write also
+   sees the odd mark on the second epoch load. *)
+let read_inline t ~slot key =
+  let shard = t.shard_of_key key in
+  let e = t.commit_epoch shard in
+  if e land 1 = 1 then begin
+    Atomic.incr t.inline_declined;
+    None
+  end
+  else begin
+    t.zc_enter ~slot;
+    match t.zc_get ~slot key with
+    | exception ex ->
+        t.zc_leave ~slot;
+        raise ex
+    | v ->
+        t.zc_leave ~slot;
+        if t.commit_epoch shard = e then begin
+          Atomic.incr t.inline_gets;
+          Some v
+        end
+        else begin
+          Atomic.incr t.inline_declined;
+          None
+        end
+  end
 
 (* Reply waits park on the caller's domain-local parker; the reply
    callback runs on the shard consumer, so it captures the parker

@@ -124,8 +124,10 @@ type t = {
   slo : Slo.t;  (** submit→reply latency, queueing included *)
   batch_hist : Obs.Hist.t;  (** drained-run lengths *)
   gauges : unit -> (string * int) list;
-      (** [kv_shard<i>_depth]/[_processed]/[_stalled], totals, and the
-          control-plane tracker's scheme gauges ([kv_ctl_*]). *)
+      (** [kv_shard<i>_depth]/[_processed]/[_stalled], totals, the
+          inline-read counters [kv_inline_gets]/[kv_inline_declined]
+          (how often the commit epoch sent a GET to the mailbox), and
+          the control-plane tracker's scheme gauges ([kv_ctl_*]). *)
   control_stats : unit -> Smr.Stats.t;
       (** Shared mailbox tracker's reclamation counters. *)
   data_stats : unit -> Smr.Stats.t list;  (** one per shard map *)
@@ -221,6 +223,21 @@ type t = {
           arena reference} — exactly what a [Val_ref] is minted from
           (generation stamp included, read atomically with the
           offset). *)
+  commit_epoch : int -> int;
+      (** Shard [i]'s commit epoch: even while its map holds only
+          committed state.  With a durability hook the consumer makes
+          it odd before executing a run's first non-read request and
+          even again once [h_commit] has returned, before any of the
+          run's acks fire.  A run that raises leaves it odd for good
+          (the map may hold that run's unacked writes), so the shard
+          answers no GET inline again.  On the
+          {!no_hook} path it never moves.  It reads odd on every shard
+          while an admission filter ({!t.set_admit}) is installed, so
+          {!read_inline} declines everything on such a service.  See
+          {!read_inline}. *)
+  inline_gets : int Atomic.t;  (** {!read_inline} reads accepted *)
+  inline_declined : int Atomic.t;
+      (** {!read_inline} reads declined by the epoch check *)
   arena : Shmalloc.Arena.t option;
       (** the backing arena, when the store is arena-backed — the shm
           mux uses it to answer [A_info] and mint [Val_ref]s. *)
@@ -228,8 +245,9 @@ type t = {
       (** Install the execution-time admission filter (see {!admit}).
           Install once, at wiring time, before traffic: consumers read
           the filter once per drained run, so a swap under load takes
-          effect on a run boundary.  Note that {!t.zc_get} reads do
-          not pass through the filter (they never produce acks). *)
+          effect on a run boundary.  {!t.zc_get} reads do not pass
+          through the filter (they never produce acks); {!read_inline}
+          declines every read while one is installed. *)
   stop : unit -> unit;
       (** Stop consumers, fail queued requests with [Error], join
           domains, flush every tracker.  Idempotent. *)
@@ -246,6 +264,30 @@ val create :
     and start one consumer domain per shard.
     @raise Invalid_argument on a non-positive config field or an
     incompatible pair (pointer-grained scheme on bonsai). *)
+
+val read_inline : t -> slot:int -> int -> int option option
+(** [read_inline t ~slot key] answers a GET from committed state on
+    the calling domain, or [None]: take the mailbox.  It reads
+    [t.commit_epoch] of [key]'s shard and declines if it is odd, reads
+    the key inside one [t.zc_enter]/[t.zc_get]/[t.zc_leave] bracket
+    under zero-copy [slot], then re-reads the epoch and accepts only
+    if it has not moved.  Both transports answer GETs through it; it
+    calls [t]'s fields, so a wrapped [t] sees every inline read.  Bumps
+    [t.inline_gets] or [t.inline_declined].
+
+    {b Why an accepted read is committed.}  The consumer's odd mark is
+    an [Atomic] store made before the run's first write, and every map
+    publication is an [Atomic] store after it.  A read that observes
+    one of the run's writes therefore also observes the odd mark (or a
+    later value) on its second epoch load, and is declined.  A read
+    that accepts saw the same even value [e] both times: the only
+    writes it can have observed belong to runs whose odd mark preceded
+    its first load, and since [e] is even each of those runs had also
+    closed its commit.  The epoch only grows, so [e] cannot recur.
+
+    Same linearization as {!t.zc_get} otherwise: a GET accepted here is
+    answered at the node read, without the run-boundary wait a mailed
+    GET takes. *)
 
 val call : t -> tid:int -> Codec.request -> Codec.reply
 (** Synchronous {!t.submit}: spin briefly, then block on the calling

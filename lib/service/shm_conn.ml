@@ -354,12 +354,12 @@ type server = {
   ext : (Codec.request -> Codec.reply option) option;
   (* A zero-copy reader slot leased at serve time (None when the
      service was built with [zc_readers = 0]).  The multiplexer is one
-     domain, so it can answer a GET inline — enter bracket, read the
-     live map, leave — without the mailbox round trip, whenever the
-     connection's reorder window is empty (all earlier operations
-     already executed and answered, so per-client program order is
-     preserved; cross-client consistency is the same bracket-licensed
-     read the [Conn.Zerocopy] client path already provides). *)
+     domain, so it can answer a GET inline through
+     [Shard.read_inline] — a bracketed read of the live map that only
+     accepts committed state — without the mailbox round trip,
+     whenever the connection's reorder window is empty (all earlier
+     operations already executed and answered, so per-client program
+     order is preserved). *)
   zc_slot : int option;
   mutable conns : sconn list;  (* multiplexer-owned *)
   acc_buf : Buffer.t;  (* partial announce lines *)
@@ -530,18 +530,8 @@ let handle_request srv sc payload =
       match (match srv.ext with Some h -> h req | None -> None) with
       | Some r -> Queue.push (Atomic.make (Some r)) sc.sc_window
       | None -> (
-          (* On an arena-backed store, a GET may only be answered
-             inline once the client has negotiated by-reference
-             replies: the inline read returns the packed reference,
-             and materializing it daemon-side belongs to the shard
-             consumer (the mailbox path), not the multiplexer. *)
-          let inline_ok =
-            match srv.svc.Shard.arena with
-            | None -> true
-            | Some _ -> sc.sc_zc
-          in
-          match (req, srv.zc_slot) with
-          | Codec.A_info, _ when srv.svc.Shard.arena <> None ->
+          match req with
+          | Codec.A_info when srv.svc.Shard.arena <> None ->
               (* Transport-level interception: the shard's own answer
                  carries slot -1 (disclosure only); here we assign the
                  connection's tid as its reservation slot and flip the
@@ -557,39 +547,50 @@ let handle_request srv sc payload =
                   }
               in
               Queue.push (Atomic.make (Some reply)) sc.sc_window
-          | Codec.Get key, Some zc
-            when Queue.is_empty sc.sc_window && inline_ok ->
-              (* The shm hot path: a bracketed read of the live map
-                 from the multiplexer's own domain.  No mailbox, no
-                 consumer wakeup, no syscall. *)
-              srv.svc.Shard.zc_enter ~slot:zc;
-              let v = srv.svc.Shard.zc_get ~slot:zc key in
-              srv.svc.Shard.zc_leave ~slot:zc;
-              let reply =
-                match (v, srv.svc.Shard.arena) with
-                | None, _ -> Codec.Not_found
-                | Some r, Some a ->
-                    (* The stored int IS the packed reference —
-                       offset, length and generation stamp were read
-                       in one atomic map load, so the frame can never
-                       pair a fresh stamp with a stale block. *)
-                    Codec.Val_ref
-                      {
-                        cls = Shmalloc.Arena.Ref.cls r;
-                        off = Shmalloc.Arena.off_of_ref a r;
-                        len = Shmalloc.Arena.Ref.len r;
-                        gen = Shmalloc.Arena.Ref.gen r;
-                      }
-                | Some v, None -> Codec.Value v
+          | _ -> (
+              let inline =
+                (* The shm hot path: a read of committed state from
+                   the multiplexer's own domain.  No mailbox, no
+                   consumer wakeup, no syscall.  On an arena-backed
+                   store only once the client has negotiated
+                   by-reference replies: the read returns the packed
+                   reference, and materializing it daemon-side belongs
+                   to the shard consumer (the mailbox path). *)
+                match (req, srv.zc_slot) with
+                | Codec.Get key, Some zc
+                  when Queue.is_empty sc.sc_window
+                       && (srv.svc.Shard.arena = None || sc.sc_zc) ->
+                    Shard.read_inline srv.svc ~slot:zc key
+                | _ -> None
               in
-              Queue.push (Atomic.make (Some reply)) sc.sc_window
-          | _ ->
-              let slot = Atomic.make None in
-              Queue.push slot sc.sc_window;
-              srv.svc.Shard.submit ~tid:sc.sc_tid req (fun r ->
-                  Atomic.set slot (Some r);
-                  Atomic.incr srv.completions;
-                  wake_mux srv)))
+              match inline with
+              | Some v ->
+                  let reply =
+                    match (v, srv.svc.Shard.arena) with
+                    | None, _ -> Codec.Not_found
+                    | Some r, Some a ->
+                        (* The stored int IS the packed reference —
+                           offset, length and generation stamp were
+                           read in one atomic map load, so the frame
+                           can never pair a fresh stamp with a stale
+                           block. *)
+                        Codec.Val_ref
+                          {
+                            cls = Shmalloc.Arena.Ref.cls r;
+                            off = Shmalloc.Arena.off_of_ref a r;
+                            len = Shmalloc.Arena.Ref.len r;
+                            gen = Shmalloc.Arena.Ref.gen r;
+                          }
+                    | Some v, None -> Codec.Value v
+                  in
+                  Queue.push (Atomic.make (Some reply)) sc.sc_window
+              | None ->
+                  let slot = Atomic.make None in
+                  Queue.push slot sc.sc_window;
+                  srv.svc.Shard.submit ~tid:sc.sc_tid req (fun r ->
+                      Atomic.set slot (Some r);
+                      Atomic.incr srv.completions;
+                      wake_mux srv))))
 
 (* Drain request frames while the reorder window has room.  Returns
    true on any progress. *)

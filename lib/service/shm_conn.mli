@@ -103,10 +103,12 @@ val serve :
 
     If the service was built with [zc_readers >= 1], the server leases
     one zero-copy slot and answers GETs inline from the multiplexer
-    domain — a bracketed read of the live map, skipping the mailbox
-    round trip — whenever the connection's reorder window is empty
-    (all earlier operations already answered, preserving per-client
-    program order).  Writes always take the routed path: the shard
+    domain through {!Shard.read_inline} — a bracketed read of the live
+    map that only accepts committed state, skipping the mailbox round
+    trip — whenever the connection's reorder window is empty (all
+    earlier operations already answered, preserving per-client program
+    order).  A GET the read declines (its shard has a commit in
+    flight) is routed.  Writes always take the routed path: the shard
     consumer stays each map's only mutator.
 
     On an arena-backed store the inline answer for a connection that

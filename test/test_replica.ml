@@ -1454,6 +1454,127 @@ let test_fs_crash_fuzz () =
       expected recovered
   done
 
+(* A GET answered inline must never see a write whose group commit
+   has not returned.  The store's sync blocks on a gate: client A's
+   PUT executes and its consumer parks inside [w_sync]; client B, on
+   another domain over the same transport, then GETs the key.  While
+   the gate is closed B may get nothing, but never the new value (an
+   uncommitted read would be lost by a crash right now).  Once the
+   gate opens, B's GET answers the value. *)
+let gated_store () =
+  let mem, _ = Store.Mem.create () in
+  let closed = Atomic.make false in
+  let entered = Atomic.make false in
+  let s_append name =
+    let w = mem.Store.s_append name in
+    {
+      w with
+      Store.w_sync =
+        (fun () ->
+          if Atomic.get closed then begin
+            Atomic.set entered true;
+            while Atomic.get closed do
+              Unix.sleepf 0.0005
+            done
+          end;
+          w.Store.w_sync ());
+    }
+  in
+  ({ mem with Store.s_append }, closed, entered)
+
+let test_inline_get_reads_committed_state transport () =
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "replica-inline-%s-%d.sock" transport (Unix.getpid ()))
+  in
+  let store, closed, entered = gated_store () in
+  let p, _ =
+    Primary.create ~structure:hashmap ~scheme:hyaline
+      { (mk_cfg ()) with Shard.zc_readers = 1 }
+      ~store ()
+  in
+  let svc = p.Primary.svc in
+  let ext req = Primary.handle p req in
+  let connect, stop_server =
+    match transport with
+    | "shm" ->
+        let srv = Service.Shm_conn.serve svc ~path ~ext () in
+        ( (fun () ->
+            let c = Service.Shm_conn.connect ~path in
+            (Service.Shm_conn.call c, fun () -> Service.Shm_conn.close c)),
+          fun () -> Service.Shm_conn.shutdown srv )
+    | _ ->
+        let srv = Service.Conn.serve_unix svc ~path ~ext () in
+        ( (fun () ->
+            let fd = Service.Conn.connect_unix ~path in
+            (Service.Conn.call_fd fd, fun () -> Unix.close fd)),
+          fun () -> Service.Conn.shutdown srv )
+  in
+  let key = 7 and value = 77 in
+  let shard = svc.Shard.shard_of_key key in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set closed false;
+      stop_server ();
+      Primary.stop p)
+    (fun () ->
+      let call_b, close_b = connect () in
+      Alcotest.(check string)
+        "absent before the put" "NOT_FOUND"
+        (Codec.reply_to_string (call_b (Codec.Get key)));
+      Atomic.set closed true;
+      let a =
+        Domain.spawn (fun () ->
+            let call_a, close_a = connect () in
+            let r = call_a (Codec.Put { key; value }) in
+            close_a ();
+            r)
+      in
+      while not (Atomic.get entered) do
+        Unix.sleepf 0.0005
+      done;
+      let b_reply = Atomic.make None in
+      let b =
+        Domain.spawn (fun () -> Atomic.set b_reply (Some (call_b (Codec.Get key))))
+      in
+      (* B is either answered (inline) or its GET is queued behind the
+         commit in the shard's mailbox. *)
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      while
+        Atomic.get b_reply = None
+        && svc.Shard.shard_depth shard = 0
+        && Unix.gettimeofday () < deadline
+      do
+        Unix.sleepf 0.0005
+      done;
+      (match Atomic.get b_reply with
+      | Some (Codec.Value v) when v = value ->
+          Alcotest.fail "GET read a PUT whose commit had not returned"
+      | Some r ->
+          Alcotest.failf "GET answered %s during the commit"
+            (Codec.reply_to_string r)
+      | None -> ());
+      Alcotest.(check bool)
+        "the epoch sent the GET to the mailbox" true
+        (Atomic.get svc.Shard.inline_declined > 0);
+      Atomic.set closed false;
+      Alcotest.(check string)
+        "the put acks once committed" "CREATED"
+        (Codec.reply_to_string (Domain.join a));
+      Domain.join b;
+      Alcotest.(check string)
+        "the GET answers the committed value" "VALUE 77"
+        (Codec.reply_to_string (Option.get (Atomic.get b_reply)));
+      let inline0 = Atomic.get svc.Shard.inline_gets in
+      Alcotest.(check string)
+        "a later GET sees it too" "VALUE 77"
+        (Codec.reply_to_string (call_b (Codec.Get key)));
+      Alcotest.(check int)
+        "and is answered inline" (inline0 + 1)
+        (Atomic.get svc.Shard.inline_gets);
+      close_b ())
+
 let suites =
   [
     ( "replica codec",
@@ -1544,5 +1665,11 @@ let suites =
         Alcotest.test_case
           "boot replay under a mailbox smaller than the window = oracle" `Quick
           test_boot_replay_small_mailbox;
+        Alcotest.test_case "inline GET reads only committed state (shm)"
+          `Quick
+          (test_inline_get_reads_committed_state "shm");
+        Alcotest.test_case "inline GET reads only committed state (unix)"
+          `Quick
+          (test_inline_get_reads_committed_state "unix");
       ] );
   ]

@@ -258,6 +258,74 @@ let parker_mutant_caught ~recheck ~publish_first () =
         "lost wakeup: waiter blocked, data published, bell unrung" msg
   | _ -> Alcotest.fail "the broken protocol passed every schedule"
 
+(* ------------------------------------------------------------------ *)
+(* Shard's commit epoch against an inline reader (Shard.read_inline).
+   The consumer runs two write runs; each marks the epoch odd, writes
+   the key, commits (the group-commit fsync: a ghost [durable] the
+   fibers never read as shared state) and marks the epoch even.  The
+   reader loads the epoch, then the value, then the epoch again, and
+   accepts only an even, unchanged epoch.  An accepted value must have
+   been committed by the time it is accepted — the moment the reply
+   could leave.  Values grow with the runs, so "committed" is
+   [v <= !durable].  Straight-line fibers: exploration is exhaustive.
+   Mutants: marking odd after the write, and skipping the second
+   epoch load. *)
+
+let commit_epoch_scenario ~mark_first ~recheck () =
+  let epoch = Sched.Shared.make 0 in
+  let value = Sched.Shared.make 0 in
+  let durable = ref 0 in
+  let accepted = ref None in
+  let mark () = ignore (Sched.Shared.fetch_and_add epoch 1) in
+  let consumer () =
+    for v = 1 to 2 do
+      if mark_first then begin
+        mark ();
+        Sched.Shared.set value v
+      end
+      else begin
+        Sched.Shared.set value v;
+        mark ()
+      end;
+      Sched.yield ();
+      durable := v;
+      mark ()
+    done
+  in
+  let reader () =
+    let e = Sched.Shared.get epoch in
+    if e land 1 = 0 then begin
+      let v = Sched.Shared.get value in
+      if (not recheck) || Sched.Shared.get epoch = e then
+        accepted := Some (v, !durable)
+    end
+  in
+  ( [ consumer; reader ],
+    fun () ->
+      match !accepted with
+      | Some (v, committed) when v > committed ->
+          failwith "inline read accepted an uncommitted value"
+      | _ -> () )
+
+let test_commit_epoch_reads_committed () =
+  let st =
+    Sched.explore
+      ~scenario:(commit_epoch_scenario ~mark_first:true ~recheck:true)
+      ()
+  in
+  Alcotest.(check bool) "exhaustive" true st.Sched.exhausted;
+  Alcotest.(check bool) "interleavings explored" true (st.Sched.schedules > 10)
+
+let commit_epoch_mutant_caught ~mark_first ~recheck () =
+  match
+    Sched.explore ~scenario:(commit_epoch_scenario ~mark_first ~recheck) ()
+  with
+  | exception Failure msg ->
+      Alcotest.(check string)
+        "uncommitted read found" "inline read accepted an uncommitted value"
+        msg
+  | _ -> Alcotest.fail "the broken protocol passed every schedule"
+
 let suites =
   [
     ( "schedcheck.sched",
@@ -290,6 +358,17 @@ let suites =
           (parker_mutant_caught ~recheck:false ~publish_first:true);
         Alcotest.test_case "mutant ringing before publishing is caught" `Quick
           (parker_mutant_caught ~recheck:true ~publish_first:false);
+      ] );
+    ( "schedcheck.commit_epoch",
+      [
+        Alcotest.test_case "accepted reads are committed (exhaustive)" `Quick
+          test_commit_epoch_reads_committed;
+        Alcotest.test_case "mutant marking odd after the write is caught"
+          `Quick
+          (commit_epoch_mutant_caught ~mark_first:false ~recheck:true);
+        Alcotest.test_case "mutant without the second epoch read is caught"
+          `Quick
+          (commit_epoch_mutant_caught ~mark_first:true ~recheck:false);
       ] );
   ]
 

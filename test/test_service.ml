@@ -103,7 +103,7 @@ let test_mailbox_bounds () =
 (* Live service: loopback, shedding, sockets *)
 
 let make_svc ?(shards = 2) ?(clients = 2) ?(mailbox_capacity = 64)
-    ?(scheme = "hyaline") () =
+    ?(scheme = "hyaline") ?(zc_readers = 0) () =
   Service.Shard.create
     ~structure:(Workload.Registry.find_structure "hashmap")
     ~scheme:(Workload.Registry.find_scheme scheme)
@@ -112,6 +112,7 @@ let make_svc ?(shards = 2) ?(clients = 2) ?(mailbox_capacity = 64)
       Service.Shard.shards;
       clients;
       mailbox_capacity;
+      zc_readers;
     }
 
 let test_pipeline_order_under_sheds () =
@@ -731,6 +732,81 @@ let test_evloop_poison_ext () =
                 (Service.Codec.reply_to_string
                    (Service.Conn.call_fd fd2 (Service.Codec.Get 1))))))
 
+(* The event loop's inline GETs (Shard.read_inline on the pump). *)
+let with_inline_server ~tag ~zc_readers f =
+  let path = tmp_sock tag in
+  let svc = make_svc ~zc_readers () in
+  let server = Service.Conn.serve_unix svc ~path () in
+  let fd = Service.Conn.connect_unix ~path in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Service.Conn.shutdown server;
+      svc.Service.Shard.stop ())
+    (fun () -> f svc fd)
+
+let reply_str fd req =
+  Service.Codec.reply_to_string (Service.Conn.call_fd fd req)
+
+let test_evloop_inline_get_after_own_put () =
+  (* [PUT k; GET k] in one write: both frames are parsed in one pass,
+     so the GET is dispatched while the PUT sits in a mailbox.  It
+     must not be answered inline from a map the PUT has not reached. *)
+  with_inline_server ~tag:"evi" ~zc_readers:1 @@ fun svc fd ->
+  let out = Buffer.create 64 in
+  for k = 1 to 200 do
+    Service.Codec.encode_request out (Service.Codec.Put { key = k; value = 1 });
+    Service.Codec.encode_request out (Service.Codec.Get k);
+    Service.Conn.write_frame fd out;
+    List.iter
+      (fun want ->
+        match Service.Conn.read_frame fd with
+        | None -> Alcotest.failf "key %d: eof" k
+        | Some p ->
+            Alcotest.(check string)
+              (Printf.sprintf "key %d" k)
+              want
+              (Service.Codec.reply_to_string (Service.Codec.reply_of_payload p)))
+      [ "CREATED"; "VALUE 1" ]
+  done;
+  (* A GET with nothing outstanding is answered inline. *)
+  let inline0 = Atomic.get svc.Service.Shard.inline_gets in
+  Alcotest.(check string) "lone get" "VALUE 1" (reply_str fd (Service.Codec.Get 7));
+  Alcotest.(check int) "answered inline" (inline0 + 1)
+    (Atomic.get svc.Service.Shard.inline_gets);
+  Alcotest.(check int) "exported as a gauge" (inline0 + 1)
+    (List.assoc "kv_inline_gets" (svc.Service.Shard.gauges ()))
+
+let test_evloop_inline_get_respects_admit () =
+  (* Ownership is judged only by the consumer's admission filter, so
+     a service with one installed answers no GET inline. *)
+  with_inline_server ~tag:"eva" ~zc_readers:1 @@ fun svc fd ->
+  Alcotest.(check string) "put" "CREATED"
+    (reply_str fd (Service.Codec.Put { key = 5; value = 55 }));
+  Alcotest.(check string) "get before the filter" "VALUE 55"
+    (reply_str fd (Service.Codec.Get 5));
+  let moved = Service.Codec.Moved { slot = 3; node = 1 } in
+  svc.Service.Shard.set_admit (fun ~tid:_ req ->
+      if Service.Codec.key_of_request req = 5 then Some moved else None);
+  Alcotest.(check string) "get after the filter"
+    (Service.Codec.reply_to_string moved)
+    (reply_str fd (Service.Codec.Get 5));
+  Alcotest.(check string) "other keys still served" "NOT_FOUND"
+    (reply_str fd (Service.Codec.Get 6))
+
+let test_evloop_no_slot_routes_every_get () =
+  with_inline_server ~tag:"evn" ~zc_readers:0 @@ fun svc fd ->
+  Alcotest.(check string) "put" "CREATED"
+    (reply_str fd (Service.Codec.Put { key = 9; value = 90 }));
+  for _ = 1 to 10 do
+    Alcotest.(check string) "get" "VALUE 90" (reply_str fd (Service.Codec.Get 9))
+  done;
+  Alcotest.(check int) "every request executed by a consumer" 11
+    (svc.Service.Shard.processed ());
+  Alcotest.(check int) "no inline read attempted" 0
+    (Atomic.get svc.Service.Shard.inline_gets
+    + Atomic.get svc.Service.Shard.inline_declined)
+
 (* ------------------------------------------------------------------ *)
 (* Loadgen determinism and the Zipf table cache *)
 
@@ -976,6 +1052,12 @@ let suites =
           `Quick test_evloop_parked_request_recheck;
         Alcotest.test_case "raising ext poisons the request, not the pump"
           `Quick test_evloop_poison_ext;
+        Alcotest.test_case "a GET behind its own PUT is not inline" `Quick
+          test_evloop_inline_get_after_own_put;
+        Alcotest.test_case "an admission filter turns inline GETs off" `Quick
+          test_evloop_inline_get_respects_admit;
+        Alcotest.test_case "no zero-copy slot routes every GET" `Quick
+          test_evloop_no_slot_routes_every_get;
       ] );
     ( "service.loadgen",
       [
