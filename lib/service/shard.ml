@@ -742,7 +742,8 @@ let create ~(structure : Workload.Registry.structure)
    means every write the read can have seen belongs to a run whose
    commit had returned: the consumer marks odd before its first write
    and map publications are atomic, so a read that sees a write also
-   sees the odd mark on the second epoch load. *)
+   sees the odd mark on the second epoch load (for the hashmap's plain
+   in-place value store, see shard.mli). *)
 let read_inline t ~slot key =
   let shard = t.shard_of_key key in
   let e = t.commit_epoch shard in

@@ -276,14 +276,23 @@ val read_inline : t -> slot:int -> int -> int option option
     [t.inline_gets] or [t.inline_declined].
 
     {b Why an accepted read is committed.}  The consumer's odd mark is
-    an [Atomic] store made before the run's first write, and every map
-    publication is an [Atomic] store after it.  A read that observes
-    one of the run's writes therefore also observes the odd mark (or a
-    later value) on its second epoch load, and is declined.  A read
-    that accepts saw the same even value [e] both times: the only
-    writes it can have observed belong to runs whose odd mark preceded
-    its first load, and since [e] is even each of those runs had also
-    closed its commit.  The epoch only grows, so [e] cannot recur.
+    an [Atomic] increment made before the run's first write, and the
+    maps publish nodes with [Atomic] stores and CASes after it.
+    Atomics are sequentially consistent, so a read that observes one
+    of the run's publications also observes the odd mark (or a later
+    value) on its second epoch load, and is declined.  A read that
+    accepts saw the same even value [e] both times: the only writes it
+    can have observed belong to runs whose odd mark preceded its first
+    load, and since [e] is even each of those runs had also closed its
+    commit.  The epoch only grows, so [e] cannot recur.
+
+    One write is not an [Atomic]: the hashmap's put on an existing key
+    overwrites the node's value field with a plain store.  Its order
+    after the odd mark, and the order of the reader's plain value load
+    before its second epoch load, come from the hardware (x86-64 keeps
+    each domain's stores in order and its loads in order), not from
+    OCaml's memory model.  A weakly ordered target would need a fence
+    on each side.
 
     Same linearization as {!t.zc_get} otherwise: a GET accepted here is
     answered at the node read, without the run-boundary wait a mailed
