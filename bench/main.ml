@@ -323,7 +323,7 @@ let frame_decode_cost =
     | Service.Codec.Frame _ -> ()
     | _ -> failwith "bench: decode"
 
-(* What the multiplexer pays to answer a GET inline: enter the leased
+(* What the serving engine pays to answer a GET inline: enter the leased
    zero-copy bracket, read the live map, leave.  The shm transport's
    replacement for a whole mailbox round trip. *)
 let zc_get_inline_cost =
@@ -701,7 +701,7 @@ let shmalloc_overhead_rows () =
   ]
 
 (* The remote GET the subsystem exists for: full RTT through the shm
-   rings for a 1 KiB value, answered by reference (the multiplexer
+   rings for a 1 KiB value, answered by reference (the serving engine
    mints a [Val_ref] from one atomic map read and the client copies
    out of its own mapping) vs materialized daemon-side through the
    mailbox.  BENCH JSON pairs these rows for the CI ratio gate. *)

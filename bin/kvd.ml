@@ -1,8 +1,9 @@
 (* kvd — the sharded lock-free KV daemon over a Unix socket.
 
    The serving stack is lib/service end to end: length-prefixed frames
-   (Codec) -> one event-loop domain holding every connection on one
-   producer tid (Conn; or per-connection shm rings, Shm_conn) ->
+   (Codec) -> one serving-engine domain holding every connection
+   (unix sockets on one producer tid, Conn; or per-connection shm
+   rings, Shm_conn) ->
    hash-sharded mailboxes drained in batched SMR brackets
    (Shard) over the scheme/structure pair picked on the command line.
 
@@ -110,9 +111,9 @@ let daemon ~socket ~transport ~loop ~scheme ~structure ~shards ~clients
       clients;
       mailbox_capacity = mailbox_cap;
       batch;
-      (* Either transport serves from one domain (the shm multiplexer,
-         the socket event loop), which leases this slot and answers
-         GETs inline from committed state (Shard.read_inline). *)
+      (* Either transport serves from the one domain of the serving
+         engine, which leases this slot and answers GETs inline from
+         committed state (Shard.read_inline). *)
       zc_readers = 1;
       arena = arena_t;
     }
@@ -417,10 +418,10 @@ let transport =
     & opt (enum [ ("unix", `Unix); ("shm", `Shm) ]) `Unix
     & info [ "transport" ] ~docv:"KIND"
         ~doc:
-          "Wire transport: $(b,unix) (socket, every connection on one \
-           event-loop domain) or $(b,shm) (per-connection mmap'd ring pairs \
-           served by one multiplexer domain; no syscall per op under \
-           load).  Same frames, same opcodes.")
+          "Wire transport: $(b,unix) (sockets) or $(b,shm) (per-connection \
+           mmap'd ring pairs; no syscall per op under load).  Either way \
+           one serving-engine domain holds every connection.  Same frames, \
+           same opcodes.")
 
 let scheme =
   Arg.(

@@ -7,16 +7,18 @@
       path, so tests exercise the exact bytes a remote peer would see,
       without sockets or nondeterministic interleaving in the
       transport itself.
-    - Unix-domain sockets ({!serve_unix}/{!connect_unix}): the real
-      daemon path used by [bin/kvd.exe] — one event-loop domain holds
-      every connection and submits them all under one producer tid
-      (the paper's transparency: a reader needs no registration, so
-      connections need none either), and answers GETs itself from
-      committed state inside a bracket.
-    - Shared memory ([Shm_conn], its own module — same frames, over
-      mmap'd SPSC rings with no syscall per op on the hot path; each
-      connection leases its own producer tid, so connection churn
-      exercises transparent attach/detach).
+    - Unix-domain sockets ({!serve_unix}/{!connect_unix}) and shared
+      memory ([Shm_conn], its own module — same frames over mmap'd
+      SPSC rings, no syscall per op on the hot path): the daemon paths
+      used by [bin/kvd.exe].  Both are edges of one serving engine:
+      one domain holds every connection, socket or ring, with one
+      dispatch, one per-connection reorder window and backpressure
+      queue, one completion path and one exception barrier, and
+      answers GETs itself from committed state inside a bracket (the
+      paper's transparency: a reader needs no registration, so
+      connections need none either).  Socket connections all submit
+      under one producer tid; each ring connection leases its own, so
+      connection churn exercises transparent attach/detach.
     - {!Zerocopy}: in-process GETs that skip the codec entirely and
       read the live maps inside a bracket — the SMR scheme as the
       client/daemon isolation boundary. *)
@@ -33,13 +35,16 @@ val ignore_sigpipe : unit -> unit
     never masquerades as a connection error. *)
 
 module Faults : sig
-  (** Chaos injection points on the server side of the transport.
-      The disabled state is the distinguished {!none} instance,
-      recognized by physical equality before any counter is read —
-      the hook costs nothing when chaos is off (same discipline as
-      [Obs.Probe.is_noop]). *)
+  (** Chaos injection points on the server side of both transports.
+      The serving engine decides which armed fault a reply or read
+      takes; the medium applies it (a byte cut on a socket, a torn or
+      truncated frame on a ring), with the same client-visible
+      outcome.  The disabled state is the distinguished {!none}
+      instance, recognized by physical equality before any counter is
+      read — the hook costs nothing when chaos is off (same
+      discipline as [Obs.Probe.is_noop]). *)
 
-  type t
+  type t = Engine.Faults.t
 
   val create : ?delay_s:float -> unit -> t
   (** Fresh fault block, nothing armed.  [delay_s] (default 2ms) is
@@ -60,17 +65,9 @@ module Faults : sig
       prefix, then the connection closes. *)
 
   val arm_delayed_read : t -> int -> unit
-  (** The next [n] request reads are preceded by a [delay_s] pause
-      (a slow peer; the reply itself stays intact). *)
-
-  (** Claiming accessors for other transports ([Shm_conn] maps the
-      armed counts onto ring-level damage with the same client-visible
-      outcome): atomically consume one armed unit, [false] if none. *)
-
-  val take_truncate_reply : t -> bool
-  val take_close_mid_frame : t -> bool
-  val take_delayed_read : t -> bool
-  val delay_s : t -> float
+  (** The next [n] request reads hold their connection back for
+      [delay_s] (a slow peer; the reply itself stays intact).  Only
+      that connection waits: the server keeps serving the others. *)
 end
 
 val reader_of_fd : Unix.file_descr -> Codec.reader
@@ -104,10 +101,10 @@ exception Addr_in_use of string
 type backend = [ `Evloop of Poller.backend ]
 (** The readiness poller under the unix-socket server
     ({!Poller.backend}: [`Epoll], [`Select], or [`Auto] — epoll where
-    available).  A single pump domain drives every connection:
+    available).  The serving engine drives every connection:
     nonblocking fds, per-connection {!Codec.frame_reader} state
-    machines, batched submits under {e one} producer tid (tid 0 —
-    reserve it for the server), ordered nonblocking reply writes with
+    machines, submits under {e one} producer tid (tid 0 — reserve it
+    for the server), ordered nonblocking reply writes with
     short-write resume, and per-connection error containment.  Fan-in
     is bounded by 1024 connections (clamped below FD_SETSIZE on the
     select poller) and fd limits only; beyond that, new connections
@@ -123,18 +120,22 @@ val serve_unix :
   ?backend:backend ->
   unit ->
   server
-(** Bind+listen on a unix-domain socket and serve it on the event loop
-    with [backend]'s poller (default [`Evloop `Auto]).  An existing
+(** Bind+listen on a unix-domain socket and serve it on the serving
+    engine with [backend]'s poller (default [`Evloop `Auto]).  An existing
     socket file is connect-probed first: stale (crashed daemon) →
     unlinked and claimed; live → {!Addr_in_use}, the incumbent keeps
     it.  [ext] is consulted before shard routing on every connection;
     a [Some] reply answers the request directly (the replication and
     cluster-control opcodes are served this way, off the data path),
     [None] falls through to the shard mailboxes.  Malformed frames get
-    an [Error] reply, then the connection closes.
+    an [Error] reply, then the connection closes.  A request a full
+    shard mailbox refuses is held and retried in arrival order, never
+    answered [Shed]: every producer shares the mailbox, so a full one
+    is not an overload signal, and the socket buffer carries the
+    backpressure to the peer.
 
     {b Inline GETs.}  When the service has a zero-copy slot to lease
-    ([zc_readers >= 1]) and is not arena-backed, the pump leases one
+    ([zc_readers >= 1]) and is not arena-backed, the engine leases one
     for its lifetime ({!shutdown} returns it) and answers a [Get] that
     [ext] declined through {!Shard.read_inline}: a bracketed read of
     the live map that only accepts committed state.  It tries this
@@ -149,22 +150,22 @@ val serve_unix :
       more than once for a request it answers [None] — once at
       dispatch, and again when the request is popped from the
       backpressure queue, so a verdict that changed while the request
-      was parked (a cluster slot frozen mid-migration) is applied at
+      was held (a cluster slot frozen mid-migration) is applied at
       submission, not at arrival.  Handlers must therefore be
       effect-free on the [None] path.
     - {b Bounded work}, unless deferred: the handler runs inline on
-      the single pump domain.  [ext_defer] classifies requests whose
+      the single serving domain.  [ext_defer] classifies requests whose
       handling is {e not} bounded (migration ingest that waits on
       group commits, full-shard snapshot traversals, anything taking
       the node's control lock): they execute on a dedicated worker
       domain, in arrival order, completing through the same
-      completion stack as the shard consumers — the pump never
+      completion stack as the shard consumers — the engine never
       blocks on them.
     - An ext handler that raises costs that request an [Error] reply,
-      never the pump. *)
+      never the engine. *)
 
 val shutdown : server -> unit
-(** Stop accepting, wake the pump, join server domains, release the
+(** Stop accepting, wake the engine, join server domains, release the
     zero-copy slot, unlink the socket path.  Idempotent.  Does NOT stop the service. *)
 
 val faults : server -> Faults.t

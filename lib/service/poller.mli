@@ -1,4 +1,4 @@
-(** Readiness polling for the event-loop transport backend.
+(** Readiness polling for the serving engine behind both transports.
 
     A thin level-triggered readiness API with two implementations
     behind one interface: Linux [epoll] through the C stubs in
@@ -8,8 +8,8 @@
     fallback (bounded by [FD_SETSIZE], typically 1024 descriptors).
     [`Auto] picks epoll where available.
 
-    Not thread-safe: a poller belongs to the single pump domain of its
-    event loop ({!Conn.serve_unix}). *)
+    Not thread-safe: a poller belongs to the single domain of its
+    serving engine ({!Conn.serve_unix}, [Shm_conn.serve]). *)
 
 type backend = [ `Auto | `Epoll | `Select ]
 
@@ -29,7 +29,7 @@ val accepts : t -> Unix.file_descr -> bool
     always can; select refuses fd {e values} >= FD_SETSIZE (1024) —
     [Unix.select] would fail with EINVAL for them, regardless of how
     few descriptors are watched.  Servers check this before {!add} and
-    shed the connection instead of poisoning the pump. *)
+    shed the connection instead of poisoning the engine. *)
 
 val max_fds : t -> int
 (** Advisory cap on concurrently-watched descriptors: unbounded for

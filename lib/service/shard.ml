@@ -34,7 +34,7 @@ type config = {
   zc_readers : int;
   (* When set, values live as blocks in this shared arena and the map
      stores packed references ([Shmalloc.Arena.Ref]) instead of
-     values; the shm mux may then answer remote GETs by reference.
+     values; the serving engine may then answer shm GETs by reference.
      The arena is owned by the caller (created beside the listen
      path, torn down after [stop]). *)
   arena : Shmalloc.Arena.t option;
@@ -202,8 +202,9 @@ module Core (T : Smr.Tracker.S) (Mk : Dstruct.Map_intf.MAKER) = struct
                     Codec.Cas_ok)
             | _ -> Codec.Cas_fail))
     | Codec.A_info ->
-        (* Slot assignment is transport business (the shm mux answers
-           this before routing); through any other path the daemon
+        (* Slot assignment is transport business (the serving engine
+           answers this for ring connections before routing); through
+           any other path the daemon
            only discloses that an arena exists. *)
         Codec.Arena_info
           { slot = -1; gen = Arena.generation a; size = Arena.size_bytes a }

@@ -239,8 +239,9 @@ type t = {
   inline_declined : int Atomic.t;
       (** {!read_inline} reads declined by the epoch check *)
   arena : Shmalloc.Arena.t option;
-      (** the backing arena, when the store is arena-backed — the shm
-          mux uses it to answer [A_info] and mint [Val_ref]s. *)
+      (** the backing arena, when the store is arena-backed — the
+          serving engine uses it to answer [A_info] on ring connections
+          and mint [Val_ref]s. *)
   set_admit : admit -> unit;
       (** Install the execution-time admission filter (see {!admit}).
           Install once, at wiring time, before traffic: consumers read

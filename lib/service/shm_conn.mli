@@ -9,13 +9,13 @@
     attach, so a dead peer's leftover file is swept, not conversed
     with.
 
-    One multiplexer domain serves every connection: it pumps request
-    rings, submits asynchronously to the shard service, and emits
-    replies in request order from a per-connection reorder window.
-    Under load neither side makes a syscall per operation — requests
-    and replies move purely through shared memory, and the doorbell
-    protocol (spin, publish a waiting flag, re-check, then a bounded
-    [select]) only reaches the kernel when a side actually sleeps. *)
+    The daemon serves rings on the same engine as the unix socket:
+    one domain holds every connection, with one dispatch, one
+    per-connection reorder window and one completion path.  Under load
+    neither side makes a syscall per operation — requests and replies
+    move purely through shared memory, and the doorbell protocol
+    (spin, publish a waiting flag, re-check, then block) only reaches
+    the kernel when a side actually sleeps. *)
 
 exception Unavailable of string
 (** Connect failed: no daemon on the listen FIFO (or it vanished
@@ -94,34 +94,37 @@ val serve :
 (** Claim [path] (same probe discipline as the unix transport: a FIFO
     some live daemon reads raises [Conn.Addr_in_use]; a stale one is
     swept along with leftover segments), create the listen FIFO, and
-    start the multiplexer domain.  Producer tids are leased per
-    connection from the service's client-slot pool; when all are
-    taken a new connection is answered with one [Shed] reply and
-    closed.  [faults] maps the [Conn.Faults] reply damage onto
-    ring-level torn writes — the client observes [Conn.Closed], as on
-    the socket path.  [ext] is consulted before shard routing.
+    serve it on the engine behind {!Conn.serve_unix}, with the same
+    per-connection rules: replies in request order, [ext] consulted
+    before shard routing (and again when a held request is
+    submitted), a full shard mailbox held and retried rather than
+    answered [Shed], a malformed request answered [Error] and its
+    connection closed, and [faults] mapped onto ring-level damage (a
+    torn or truncated frame — the client observes [Conn.Closed], as
+    on the socket path).  Producer tids are leased per connection from
+    the service's client-slot pool; when all are taken a new
+    connection is answered with one [Shed] reply and closed.
 
     If the service was built with [zc_readers >= 1], the server leases
-    one zero-copy slot and answers GETs inline from the multiplexer
-    domain through {!Shard.read_inline} — a bracketed read of the live
-    map that only accepts committed state, skipping the mailbox round
-    trip — whenever the connection's reorder window is empty (all
-    earlier operations already answered, preserving per-client program
-    order).  A GET the read declines (its shard has a commit in
-    flight) is routed.  Writes always take the routed path: the shard
-    consumer stays each map's only mutator.
+    one zero-copy slot and answers a GET inline through
+    {!Shard.read_inline} — a bracketed read of the live map that only
+    accepts committed state, skipping the mailbox round trip — when
+    nothing earlier is outstanding on the connection.  A GET the read
+    declines (its shard has a commit in flight) is routed.  Writes
+    always take the routed path: the shard consumer stays each map's
+    only mutator.
 
     On an arena-backed store the inline answer for a connection that
     negotiated via [A_info] is the [Val_ref] minted from the packed
     reference the map holds; connections that never negotiated have
     their GETs routed to the shard consumer, which materializes the
-    value — raw references never reach a peer without a mapping.  The
-    multiplexer also sweeps arena reservation slots: a connection's
-    slot is force-cleared when the connection dies, and idle passes
-    clear slots whose announced pid no longer exists. *)
+    value — raw references never reach a peer without a mapping.  A
+    connection's reservation slot is force-cleared when it closes,
+    and idle passes clear slots whose announced pid no longer
+    exists. *)
 
 val shutdown : server -> unit
-(** Stop the multiplexer, stamp every connection's segment closed
+(** Stop the engine, stamp every connection's segment closed
     (waking blocked clients), unlink all segment files and FIFOs,
     including the listen FIFO.  Idempotent.  Does NOT stop the
     service. *)

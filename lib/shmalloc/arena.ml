@@ -135,7 +135,7 @@ let w_refs off = (off / 8) + 4
 
 module Ref = struct
   (* [ gen:22 | cls:3 | len:13 | idx:25 ] — 63 bits.  The whole
-     reference, generation included, is one int so the mux can mint a
+     reference, generation included, is one int so the server can mint a
      Val_ref from a single atomic map read: reading the offset and
      the stamp separately would let a retire+realloc slip between the
      two reads and mint a stamp that validates the wrong value. *)

@@ -732,10 +732,51 @@ let test_evloop_poison_ext () =
                 (Service.Codec.reply_to_string
                    (Service.Conn.call_fd fd2 (Service.Codec.Get 1))))))
 
-(* The event loop's inline GETs (Shard.read_inline on the pump). *)
-let with_inline_server ~tag ~zc_readers f =
-  let path = tmp_sock tag in
+(* Both server transports run on one serving engine; the tests below
+   take the transport as an input, so each case holds on both. *)
+type transport = Unix_sock | Shm_ring
+
+let transport_name = function Unix_sock -> "unix" | Shm_ring -> "shm"
+
+(* Serve [svc] over [transport] for the duration of [f], which gets a
+   [connect] returning a blocking call and its close. *)
+let serve_over transport ~tag ?faults svc f =
+  let path = tmp_sock (tag ^ "-" ^ transport_name transport) in
+  match transport with
+  | Unix_sock ->
+      let server = Service.Conn.serve_unix svc ~path ?faults () in
+      Fun.protect ~finally:(fun () -> Service.Conn.shutdown server)
+      @@ fun () ->
+      f (fun () ->
+          let fd = Service.Conn.connect_unix ~path in
+          ( Service.Conn.call_fd fd,
+            fun () -> try Unix.close fd with Unix.Unix_error _ -> () ))
+  | Shm_ring ->
+      let server = Service.Shm_conn.serve svc ~path ?faults () in
+      Fun.protect ~finally:(fun () -> Service.Shm_conn.shutdown server)
+      @@ fun () ->
+      f (fun () ->
+          let c = Service.Shm_conn.connect ~path in
+          (Service.Shm_conn.call c, fun () -> Service.Shm_conn.close c))
+
+let with_conn connect f =
+  let call, close = connect () in
+  Fun.protect ~finally:close (fun () -> f call)
+
+(* The engine's inline GETs (Shard.read_inline on the serving domain). *)
+let with_inline_server transport ~tag ~zc_readers f =
   let svc = make_svc ~zc_readers () in
+  Fun.protect ~finally:(fun () -> svc.Service.Shard.stop ()) @@ fun () ->
+  serve_over transport ~tag svc @@ fun connect -> with_conn connect (f svc)
+
+let reply_str call req = Service.Codec.reply_to_string (call req)
+
+let test_evloop_inline_get_after_own_put () =
+  (* [PUT k; GET k] in one write: both frames are parsed in one pass,
+     so the GET is dispatched while the PUT sits in a mailbox.  It
+     must not be answered inline from a map the PUT has not reached. *)
+  let path = tmp_sock "evi" in
+  let svc = make_svc ~zc_readers:1 () in
   let server = Service.Conn.serve_unix svc ~path () in
   let fd = Service.Conn.connect_unix ~path in
   Fun.protect
@@ -743,16 +784,7 @@ let with_inline_server ~tag ~zc_readers f =
       (try Unix.close fd with Unix.Unix_error _ -> ());
       Service.Conn.shutdown server;
       svc.Service.Shard.stop ())
-    (fun () -> f svc fd)
-
-let reply_str fd req =
-  Service.Codec.reply_to_string (Service.Conn.call_fd fd req)
-
-let test_evloop_inline_get_after_own_put () =
-  (* [PUT k; GET k] in one write: both frames are parsed in one pass,
-     so the GET is dispatched while the PUT sits in a mailbox.  It
-     must not be answered inline from a map the PUT has not reached. *)
-  with_inline_server ~tag:"evi" ~zc_readers:1 @@ fun svc fd ->
+  @@ fun () ->
   let out = Buffer.create 64 in
   for k = 1 to 200 do
     Service.Codec.encode_request out (Service.Codec.Put { key = k; value = 1 });
@@ -771,41 +803,97 @@ let test_evloop_inline_get_after_own_put () =
   done;
   (* A GET with nothing outstanding is answered inline. *)
   let inline0 = Atomic.get svc.Service.Shard.inline_gets in
-  Alcotest.(check string) "lone get" "VALUE 1" (reply_str fd (Service.Codec.Get 7));
+  Alcotest.(check string) "lone get" "VALUE 1"
+    (reply_str (Service.Conn.call_fd fd) (Service.Codec.Get 7));
   Alcotest.(check int) "answered inline" (inline0 + 1)
     (Atomic.get svc.Service.Shard.inline_gets);
   Alcotest.(check int) "exported as a gauge" (inline0 + 1)
     (List.assoc "kv_inline_gets" (svc.Service.Shard.gauges ()))
 
-let test_evloop_inline_get_respects_admit () =
+let test_inline_get_respects_admit transport () =
   (* Ownership is judged only by the consumer's admission filter, so
      a service with one installed answers no GET inline. *)
-  with_inline_server ~tag:"eva" ~zc_readers:1 @@ fun svc fd ->
+  with_inline_server transport ~tag:"eva" ~zc_readers:1 @@ fun svc call ->
   Alcotest.(check string) "put" "CREATED"
-    (reply_str fd (Service.Codec.Put { key = 5; value = 55 }));
+    (reply_str call (Service.Codec.Put { key = 5; value = 55 }));
   Alcotest.(check string) "get before the filter" "VALUE 55"
-    (reply_str fd (Service.Codec.Get 5));
+    (reply_str call (Service.Codec.Get 5));
   let moved = Service.Codec.Moved { slot = 3; node = 1 } in
   svc.Service.Shard.set_admit (fun ~tid:_ req ->
       if Service.Codec.key_of_request req = 5 then Some moved else None);
   Alcotest.(check string) "get after the filter"
     (Service.Codec.reply_to_string moved)
-    (reply_str fd (Service.Codec.Get 5));
+    (reply_str call (Service.Codec.Get 5));
   Alcotest.(check string) "other keys still served" "NOT_FOUND"
-    (reply_str fd (Service.Codec.Get 6))
+    (reply_str call (Service.Codec.Get 6))
 
-let test_evloop_no_slot_routes_every_get () =
-  with_inline_server ~tag:"evn" ~zc_readers:0 @@ fun svc fd ->
+let test_no_slot_routes_every_get transport () =
+  with_inline_server transport ~tag:"evn" ~zc_readers:0 @@ fun svc call ->
   Alcotest.(check string) "put" "CREATED"
-    (reply_str fd (Service.Codec.Put { key = 9; value = 90 }));
+    (reply_str call (Service.Codec.Put { key = 9; value = 90 }));
   for _ = 1 to 10 do
-    Alcotest.(check string) "get" "VALUE 90" (reply_str fd (Service.Codec.Get 9))
+    Alcotest.(check string) "get" "VALUE 90" (reply_str call (Service.Codec.Get 9))
   done;
   Alcotest.(check int) "every request executed by a consumer" 11
     (svc.Service.Shard.processed ());
   Alcotest.(check int) "no inline read attempted" 0
     (Atomic.get svc.Service.Shard.inline_gets
     + Atomic.get svc.Service.Shard.inline_declined)
+
+let test_full_mailbox_holds transport () =
+  (* Every producer shares a shard's mailbox, so a full one under a
+     healthy consumer is not an overload signal: the engine holds the
+     requests it refuses and retries them, on either medium. *)
+  let svc = make_svc ~shards:1 ~clients:8 ~mailbox_capacity:2 () in
+  Fun.protect ~finally:(fun () -> svc.Service.Shard.stop ()) @@ fun () ->
+  serve_over transport ~tag:"hold" svc @@ fun connect ->
+  svc.Service.Shard.set_stalled ~shard:0 true;
+  while not (svc.Service.Shard.is_parked 0) do
+    Domain.cpu_relax ()
+  done;
+  let clients =
+    List.init 5 (fun key ->
+        Domain.spawn (fun () ->
+            with_conn connect (fun call ->
+                reply_str call (Service.Codec.Put { key; value = key }))))
+  in
+  Unix.sleepf 0.3;
+  svc.Service.Shard.set_stalled ~shard:0 false;
+  Alcotest.(check (list string))
+    "every put held, then created" (List.init 5 (fun _ -> "CREATED"))
+    (List.map Domain.join clients)
+
+let test_delayed_read_isolated transport () =
+  (* A delayed read holds back only its own connection: the serving
+     domain keeps answering every other one. *)
+  let svc = make_svc () in
+  let faults = Service.Conn.Faults.create ~delay_s:0.3 () in
+  Fun.protect ~finally:(fun () -> svc.Service.Shard.stop ()) @@ fun () ->
+  serve_over transport ~tag:"delay" ~faults svc @@ fun connect ->
+  with_conn connect @@ fun call_a ->
+  with_conn connect @@ fun call_b ->
+  Alcotest.(check string) "warm a" "CREATED"
+    (reply_str call_a (Service.Codec.Put { key = 1; value = 1 }));
+  Alcotest.(check string) "warm b" "VALUE 1" (reply_str call_b (Service.Codec.Get 1));
+  Service.Conn.Faults.arm_delayed_read faults 1;
+  let a = Domain.spawn (fun () -> reply_str call_a (Service.Codec.Get 1)) in
+  Unix.sleepf 0.05;
+  let t0 = Unix.gettimeofday () in
+  let b = reply_str call_b (Service.Codec.Get 1) in
+  let waited = Unix.gettimeofday () -. t0 in
+  Alcotest.(check string) "a answered after its delay" "VALUE 1" (Domain.join a);
+  Alcotest.(check string) "b answered" "VALUE 1" b;
+  if waited >= 0.1 then
+    Alcotest.failf "b waited %.3f s behind a's delayed read" waited
+
+(* One test case per transport. *)
+let on_both name speed test =
+  List.map
+    (fun t ->
+      Alcotest.test_case
+        (Printf.sprintf "%s (%s)" name (transport_name t))
+        speed (test t))
+    [ Unix_sock; Shm_ring ]
 
 (* ------------------------------------------------------------------ *)
 (* Loadgen determinism and the Zipf table cache *)
@@ -1054,11 +1142,15 @@ let suites =
           `Quick test_evloop_poison_ext;
         Alcotest.test_case "a GET behind its own PUT is not inline" `Quick
           test_evloop_inline_get_after_own_put;
-        Alcotest.test_case "an admission filter turns inline GETs off" `Quick
-          test_evloop_inline_get_respects_admit;
-        Alcotest.test_case "no zero-copy slot routes every GET" `Quick
-          test_evloop_no_slot_routes_every_get;
-      ] );
+      ]
+      @ on_both "an admission filter turns inline GETs off" `Quick
+          test_inline_get_respects_admit
+      @ on_both "no zero-copy slot routes every GET" `Quick
+          test_no_slot_routes_every_get
+      @ on_both "a full mailbox holds, never sheds" `Quick
+          test_full_mailbox_holds
+      @ on_both "a delayed read delays only its connection" `Quick
+          test_delayed_read_isolated );
     ( "service.loadgen",
       [
         Alcotest.test_case "fixed-seed determinism" `Quick

@@ -518,12 +518,12 @@ let test_shm_conn_faults_parity () =
   | r -> Alcotest.failf "fresh conn: %s" (Codec.reply_to_string r));
   Service.Shm_conn.close c2
 
-(* The multiplexer survives a hostile ring writer.  A correctly
+(* The serving engine survives a hostile ring writer.  A correctly
    stamped frame with length in (Codec.max_frame, ring max_payload] is
    craftable by any same-uid writer — the commit stamp is a pure
    function of seq/len — and must cost that connection, never the
-   daemon (Codec.Malformed used to escape pump_in and kill the
-   multiplexer domain). *)
+   daemon (Codec.Malformed once escaped the ring reader and killed the
+   serving domain). *)
 let test_shm_conn_oversize_frame_kills_conn_not_daemon () =
   with_server @@ fun ~path ~svc:_ ~srv:_ ->
   let seg_path = Printf.sprintf "%s.seg.%d.999" path (Unix.getpid ()) in
@@ -549,11 +549,75 @@ let test_shm_conn_oversize_frame_kills_conn_not_daemon () =
   Alcotest.(check bool) "hostile connection killed" false (Shm.Seg.is_open seg);
   Shm.Doorbell.close srv_bell;
   Shm.Seg.detach seg;
-  (* The multiplexer survived: a legitimate client still works. *)
+  (* The engine survived: a legitimate client still works. *)
   let c = Service.Shm_conn.connect ~path in
   (match Service.Shm_conn.call c (Codec.Put { key = 1; value = 1 }) with
   | Codec.Created -> ()
   | r -> Alcotest.failf "daemon after oversize frame: %s" (Codec.reply_to_string r));
+  Service.Shm_conn.close c
+
+(* A client killed while its segment is open never stamps it closed,
+   but its doorbell's write end closes with the process.  The engine
+   must read that as the client's death and close the connection —
+   sweeping its slot — instead of polling a hung-up bell forever. *)
+let test_shm_conn_reaps_dead_client () =
+  with_server ~clients:1 @@ fun ~path ~svc:_ ~srv:_ ->
+  let seg_path = Printf.sprintf "%s.seg.%d.998" path (Unix.getpid ()) in
+  let seg = Shm.Seg.create ~path:seg_path () in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_NONBLOCK ] 0 in
+  let line = Printf.sprintf "%s %d\n" seg_path (Shm.Seg.generation seg) in
+  ignore (Unix.write_substring fd line 0 (String.length line));
+  Unix.close fd;
+  let tx = Shm.Seg.c2s_ring seg and rx = Shm.Seg.s2c_ring seg in
+  let out = Buffer.create 16 in
+  Codec.encode_request out (Codec.Put { key = 4; value = 4 });
+  let b = Buffer.to_bytes out in
+  ignore (Shm.Ring.try_send tx b ~pos:0 ~len:(Bytes.length b));
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while Shm.Ring.pending rx = `Empty && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.002
+  done;
+  Alcotest.(check bool) "served while alive" true (Shm.Ring.pending rx <> `Empty);
+  (* Ring once (which opens the bell's write end, as a client's first
+     ring does), then die: the write end closes, the segment stays
+     open. *)
+  let srv_bell = Shm.Doorbell.attach ~path:(Shm.Seg.srv_bell seg) in
+  Shm.Doorbell.ring srv_bell;
+  Shm.Doorbell.close srv_bell;
+  while Shm.Seg.is_open seg && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.005
+  done;
+  Alcotest.(check bool) "dead client's connection closed" false
+    (Shm.Seg.is_open seg);
+  Shm.Seg.detach seg;
+  (* Its tid (the only one) went back to the pool. *)
+  let c = Service.Shm_conn.connect ~path in
+  (match Service.Shm_conn.call c (Codec.Get 4) with
+  | Codec.Value 4 -> ()
+  | r -> Alcotest.failf "next client: %s" (Codec.reply_to_string r));
+  Service.Shm_conn.close c
+
+(* A segment whose doorbell FIFO is gone cannot be served: it is
+   swept at attach, and its tid stays in the pool. *)
+let test_shm_conn_bell_less_segment_swept () =
+  with_server ~clients:1 @@ fun ~path ~svc:_ ~srv:_ ->
+  let seg_path = Printf.sprintf "%s.seg.%d.997" path (Unix.getpid ()) in
+  let seg = Shm.Seg.create ~path:seg_path () in
+  Unix.unlink (Shm.Seg.srv_bell seg);
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_NONBLOCK ] 0 in
+  let line = Printf.sprintf "%s %d\n" seg_path (Shm.Seg.generation seg) in
+  ignore (Unix.write_substring fd line 0 (String.length line));
+  Unix.close fd;
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while Sys.file_exists seg_path && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.005
+  done;
+  Alcotest.(check bool) "segment swept" false (Sys.file_exists seg_path);
+  Shm.Seg.detach seg;
+  let c = Service.Shm_conn.connect ~path in
+  (match Service.Shm_conn.call c (Codec.Put { key = 3; value = 3 }) with
+  | Codec.Created -> ()
+  | r -> Alcotest.failf "next client: %s" (Codec.reply_to_string r));
   Service.Shm_conn.close c
 
 (* Announce lines naming paths outside "<listen>.seg.*" are ignored:
@@ -804,7 +868,7 @@ let test_zc_remote_dead_client_slot_swept () =
   Service.Shm_conn.zc_hold c;
   Alcotest.(check bool) "era pinned" true (Shmalloc.Arena.slot_era arena ~slot <> 0);
   Service.Shm_conn.close c;
-  (* The multiplexer sweeps the connection — and with it the arena
+  (* The engine sweeps the connection — and with it the arena
      reservation slot the dead client left pinned. *)
   let deadline = Unix.gettimeofday () +. 5.0 in
   while
@@ -890,6 +954,10 @@ let suites =
           `Quick test_shm_conn_oversize_frame_kills_conn_not_daemon;
         Alcotest.test_case "foreign announce paths ignored" `Quick
           test_shm_conn_rejects_foreign_announce;
+        Alcotest.test_case "a client that dies holding its segment is reaped"
+          `Quick test_shm_conn_reaps_dead_client;
+        Alcotest.test_case "a segment without its doorbell is swept" `Quick
+          test_shm_conn_bell_less_segment_swept;
         Alcotest.test_case "stale listen FIFO swept and reclaimed" `Quick
           test_shm_conn_stale_listen_claim;
       ] );
