@@ -808,8 +808,9 @@ let run_serve_smoke () =
       retired-unreclaimed backlog bounded, [Epoch] pins everything
       retired since the stall.
    3. Confirmed-death sweep — a client dies holding its bracket; the
-      multiplexer force-clears the reservation slot and reclamation
-      drains. *)
+      serving engine ([lib/service/engine.ml]) closes the ring
+      connection, its release hook force-clears the reservation slot,
+      and reclamation drains. *)
 
 let zc_arena_server ~policy ~tag f =
   let path = transport_path ("zc." ^ tag) in
@@ -884,8 +885,8 @@ let zc_dead_client_drain () =
   ignore (Service.Shm_conn.call c (Service.Codec.Put { key = 9; value = 9 }));
   ignore (Service.Shm_conn.call c (Service.Codec.Get 9));
   Service.Shm_conn.zc_hold c;
-  (* Die without releasing the bracket; the multiplexer's connection
-     sweep must force-clear the slot on the corpse's behalf. *)
+  (* Die without releasing the bracket; closing the connection in the
+     serving engine must force-clear the slot on the corpse's behalf. *)
   Service.Shm_conn.close c;
   let deadline = Unix.gettimeofday () +. 5.0 in
   while

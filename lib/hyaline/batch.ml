@@ -2,7 +2,8 @@ open Smr
 
 type t = { mutable first : Hdr.t; mutable count : int; mutable min_birth : int }
 
-let create () = { first = Hdr.nil; count = 0; min_birth = max_int }
+let create () =
+  Prims.Padded.copy { first = Hdr.nil; count = 0; min_birth = max_int }
 
 let add t h =
   h.Hdr.batch_link <- t.first;

@@ -14,6 +14,8 @@ type t
 (** A builder, owned by one thread. *)
 
 val create : unit -> t
+(** An empty builder on cache lines of its own ({!Prims.Padded}): its
+    owner writes it on every retire. *)
 
 val add : t -> Smr.Hdr.t -> unit
 (** Append a retired node; tracks the batch's minimum birth era. *)

@@ -64,7 +64,7 @@ module Boxed_word : WORD = struct
   let idle = { era = 0; hptr = Hdr.nil }
   let backend = "boxed"
   let max_era = max_int
-  let make () = Atomic.make idle
+  let make () = Prims.Padded.atomic idle
   let get = Atomic.get
 
   let exchange t ~era =
@@ -97,7 +97,7 @@ module Packed_word : WORD = struct
 
   let backend = "packed"
   let max_era = P.max_href
-  let make () = Atomic.make 0
+  let make () = Prims.Padded.atomic 0
   let get = Atomic.get
   let exchange t ~era = Atomic.exchange t (P.with_href 0 era)
   let cas_era t ~expected e = Atomic.compare_and_set t expected (P.with_href expected e)
@@ -111,15 +111,22 @@ module Packed_word : WORD = struct
 end
 
 module Make (W : WORD) : Tracker_ext.S = struct
+  (* Per-tid state, owner-written on every allocation and retire.
+     Records, builders, reaps and reservation words are Prims.Padded
+     blocks, so no two threads share a cache line. *)
+  type local = {
+    mutable allocs : int;
+    builder : Batch.t;
+    reap : Internal.reap; (* reused; drain empties it *)
+  }
+
   type t = {
     cfg : Config.t;
     k : int; (* = nthreads: one reservation word per thread *)
     batch_size : int;
     rsrv : W.t array;
     era : int Atomic.t;
-    alloc_count : int array;
-    builders : Batch.t array;
-    reaps : Internal.reap array; (* per tid, reused; drain empties them *)
+    locals : local array;
     stats : Stats.t;
   }
 
@@ -137,15 +144,20 @@ module Make (W : WORD) : Tracker_ext.S = struct
       k;
       batch_size = max cfg.batch_min (k + 1);
       rsrv = Array.init k (fun _ -> W.make ());
-      era = Atomic.make 1;
-      alloc_count = Array.make k 0;
-      builders = Array.init k (fun _ -> Batch.create ());
-      reaps = Array.init k (fun _ -> Internal.new_reap ());
+      era = Prims.Padded.atomic 1;
+      locals =
+        Array.init k (fun _ ->
+            Prims.Padded.copy
+              {
+                allocs = 0;
+                builder = Batch.create ();
+                reap = Internal.new_reap ();
+              });
       stats = Stats.create ();
     }
 
   let slots t = t.k
-  let pending t ~tid = Batch.size t.builders.(tid)
+  let pending t ~tid = Batch.size t.locals.(tid).builder
 
   (* Wait-free: an idle word (era 0) is touched by nobody else — the
      era skip in [retire_batch] covers it — so publication is a plain
@@ -160,7 +172,7 @@ module Make (W : WORD) : Tracker_ext.S = struct
      decrement lands — the inserter counted us), so the decode in
      [W.hptr] can never meet a tombstone here. *)
   let drop_detached t ~tid old =
-    let reap = t.reaps.(tid) in
+    let reap = t.locals.(tid).reap in
     (if not (W.empty old) then
        ignore (Internal.traverse reap ~next:(W.hptr old) ~handle:Hdr.nil));
     Internal.drain t.stats ~tid reap
@@ -183,8 +195,9 @@ module Make (W : WORD) : Tracker_ext.S = struct
 
   let alloc_hook t ~tid hdr =
     Stats.on_alloc t.stats;
-    let c = t.alloc_count.(tid) + 1 in
-    t.alloc_count.(tid) <- c;
+    let l = t.locals.(tid) in
+    let c = l.allocs + 1 in
+    l.allocs <- c;
     if c mod t.cfg.epoch_freq = 0 then begin
       (* CAS, not FAA: the clock must saturate at the packed era-field
          width.  A lost race just means someone else advanced — the
@@ -207,21 +220,20 @@ module Make (W : WORD) : Tracker_ext.S = struct
     if W.era cur < e then
       if not (W.cas_era w ~expected:cur e) then publish w (W.get w) e
 
-  let read t ~tid ~idx:_ a proj =
-    let w = t.rsrv.(tid) in
-    let rec loop () =
-      let v = Atomic.get a in
-      let alloc = Atomic.get t.era in
-      if W.era (W.get w) >= alloc then begin
-        if t.cfg.check_uaf then Hdr.check_not_freed "Crystalline.read" (proj v);
-        v
-      end
-      else begin
-        publish w (W.get w) alloc;
-        loop ()
-      end
-    in
-    loop ()
+  (* Top-level, like [publish], so a dereference allocates nothing. *)
+  let rec deref t w a proj =
+    let v = Atomic.get a in
+    let alloc = Atomic.get t.era in
+    if W.era (W.get w) >= alloc then begin
+      if t.cfg.check_uaf then Hdr.check_not_freed "Crystalline.read" (proj v);
+      v
+    end
+    else begin
+      publish w (W.get w) alloc;
+      deref t w a proj
+    end
+
+  let read t ~tid ~idx:_ a proj = deref t t.rsrv.(tid) a proj
 
   let transfer _ ~tid:_ ~from_idx:_ ~to_idx:_ = ()
 
@@ -234,9 +246,10 @@ module Make (W : WORD) : Tracker_ext.S = struct
      frozen at era e only ever receives batches containing at least
      one node born at or before e, and there are finitely many. *)
   let retire_batch t ~tid =
-    let min_birth = Batch.min_birth t.builders.(tid) in
-    let refnode = Batch.seal t.builders.(tid) ~adjs:0 in
-    let reap = t.reaps.(tid) in
+    let l = t.locals.(tid) in
+    let min_birth = Batch.min_birth l.builder in
+    let refnode = Batch.seal l.builder ~adjs:0 in
+    let reap = l.reap in
     let inserts = ref 0 in
     let node = ref refnode.Hdr.batch_link in
     (* The backoff record is created only after a first lost CAS, so
@@ -283,11 +296,12 @@ module Make (W : WORD) : Tracker_ext.S = struct
 
   let retire t ~tid hdr =
     Tracker.retire_block t.stats ~tid hdr;
-    Batch.add t.builders.(tid) hdr;
-    if Batch.size t.builders.(tid) >= t.batch_size then retire_batch t ~tid
+    let builder = t.locals.(tid).builder in
+    Batch.add builder hdr;
+    if Batch.size builder >= t.batch_size then retire_batch t ~tid
 
   let flush t ~tid =
-    let builder = t.builders.(tid) in
+    let builder = t.locals.(tid).builder in
     if not (Batch.is_empty builder) then begin
       while Batch.size builder < t.batch_size do
         let dummy = Hdr.create () in
@@ -303,11 +317,11 @@ module Make (W : WORD) : Tracker_ext.S = struct
   let gauges t =
     let pend_total = ref 0 and pend_max = ref 0 in
     Array.iter
-      (fun b ->
-        let s = Batch.size b in
+      (fun l ->
+        let s = Batch.size l.builder in
         pend_total := !pend_total + s;
         if s > !pend_max then pend_max := s)
-      t.builders;
+      t.locals;
     [
       ("slots", t.k);
       ("era", Atomic.get t.era);

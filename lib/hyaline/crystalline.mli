@@ -31,6 +31,8 @@ module type WORD = sig
   (** Largest publishable era; the tracker's clock saturates here. *)
 
   val make : unit -> t
+  (** A fresh idle word on cache lines of its own ({!Prims.Padded}). *)
+
   val get : t -> word
 
   val exchange : t -> era:int -> word

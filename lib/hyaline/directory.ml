@@ -21,12 +21,11 @@ let ilog2 n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
   go 0 n
 
-let level_of t i =
-  if i < t.kmin then (0, i)
-  else
-    let l = ilog2 (i lsr t.log_kmin) + 1 in
-    let base = t.kmin lsl (l - 1) in
-    (l, i - base)
+(* Level [l >= 1] starts at slot [kmin * 2^(l-1)].  Computed without
+   building an (level, offset) pair: [get] is on every bracket and
+   dereference, and must not allocate. *)
+let level_of t i = if i < t.kmin then 0 else ilog2 (i lsr t.log_kmin) + 1
+let base_of t l = if l = 0 then 0 else t.kmin lsl (l - 1)
 
 let capacity t =
   let rec go l cap =
@@ -39,9 +38,9 @@ let capacity t =
   go 0 0
 
 let get t i =
-  let l, off = level_of t i in
+  let l = level_of t i in
   match Atomic.get t.levels.(l) with
-  | Some arr -> arr.(off)
+  | Some arr -> arr.(i - base_of t l)
   | None -> invalid_arg "Directory.get: slot not yet published"
 
 let ensure t ~k =

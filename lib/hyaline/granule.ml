@@ -5,7 +5,7 @@ type t = { state : state Atomic.t; spurious_every : int; ticks : int Atomic.t }
 let make ?(spurious_every = 0) () =
   if spurious_every < 0 then invalid_arg "Granule.make: spurious_every < 0";
   {
-    state = Atomic.make { href = 0; hptr = Smr.Hdr.nil };
+    state = Prims.Padded.atomic { href = 0; hptr = Smr.Hdr.nil };
     spurious_every;
     ticks = Atomic.make 0;
   }

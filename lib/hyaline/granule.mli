@@ -26,7 +26,8 @@ val make : ?spurious_every:int -> unit -> t
 (** [make ()] returns a granule initialized to [{href = 0;
     hptr = Hdr.nil}].  If [spurious_every = n > 0], roughly every n-th
     [sc] fails spuriously (deterministic counter, contention-
-    independent).  [0] (default) disables injection. *)
+    independent).  [0] (default) disables injection.  The granule's
+    state word sits on cache lines of its own ({!Prims.Padded}). *)
 
 val ll : t -> token
 (** Open a reservation and atomically read the granule. *)

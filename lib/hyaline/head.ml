@@ -17,7 +17,7 @@ module Dwcas : OPS with type snap = Snap.t = struct
   type snap = Snap.t
 
   let backend = "dwcas"
-  let make () = Atomic.make Snap.zero
+  let make () = Prims.Padded.atomic Snap.zero
   let read = Atomic.get
 
   let rec enter_faa t =
@@ -91,7 +91,7 @@ module Packed = struct
 
   let with_href s href = (href lsl index_bits) lor (s land max_index)
   let with_hptr s h = s land lnot max_index lor index_of h
-  let make () = Atomic.make 0
+  let make () = Prims.Padded.atomic 0
   let read = Atomic.get
 
   (* Range-checking the FAA would destroy its wait-freedom, so the

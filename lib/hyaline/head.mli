@@ -29,7 +29,11 @@ module type OPS = sig
       staleness). *)
 
   val backend : string
+
   val make : unit -> t
+  (** A fresh [{href = 0; hptr = nil}] head on cache lines of its own
+      ({!Prims.Padded}), so threads in different slots never share a
+      line. *)
 
   val read : t -> snap
   (** Atomic load of the pair. *)

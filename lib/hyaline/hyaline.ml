@@ -3,16 +3,23 @@ open Smr
 module Make (H : Head.OPS) : Tracker_ext.S = struct
   module I = Internal.Make (H)
 
+  (* Per-tid state, owner-written on every bracket.  Records, builders,
+     reaps and heads are Prims.Padded blocks, so no two threads share a
+     cache line. *)
+  type local = {
+    mutable slot : int; (* slot chosen by the last enter *)
+    mutable handle : Hdr.t;
+    builder : Batch.t;
+    reap : Internal.reap; (* reused; drain empties it *)
+  }
+
   type t = {
     cfg : Config.t;
     k : int;
     adjs : int;
     batch_size : int;
     heads : H.t array;
-    handles : Hdr.t array; (* per tid; owner-written *)
-    slots_of : int array; (* slot chosen by the tid's last enter *)
-    builders : Batch.t array; (* per tid local batches *)
-    reaps : Internal.reap array; (* per tid, reused; drain empties them *)
+    locals : local array;
     stats : Stats.t;
   }
 
@@ -31,35 +38,39 @@ module Make (H : Head.OPS) : Tracker_ext.S = struct
          slot list plus the dedicated NRef node. *)
       batch_size = max cfg.batch_min (k + 1);
       heads = Array.init k (fun _ -> H.make ());
-      handles = Array.make cfg.nthreads Hdr.nil;
-      slots_of = Array.make cfg.nthreads 0;
-      builders = Array.init cfg.nthreads (fun _ -> Batch.create ());
-      reaps = Array.init cfg.nthreads (fun _ -> Internal.new_reap ());
+      locals =
+        Array.init cfg.nthreads (fun _ ->
+            Prims.Padded.copy
+              {
+                slot = 0;
+                handle = Hdr.nil;
+                builder = Batch.create ();
+                reap = Internal.new_reap ();
+              });
       stats = Stats.create ();
     }
 
   let slots t = t.k
-  let pending t ~tid = Batch.size t.builders.(tid)
+  let pending t ~tid = Batch.size t.locals.(tid).builder
 
   let enter t ~tid =
+    let l = t.locals.(tid) in
     let slot = tid land (t.k - 1) in
     let snap = H.enter_faa t.heads.(slot) in
-    t.slots_of.(tid) <- slot;
-    t.handles.(tid) <- H.hptr snap
+    l.slot <- slot;
+    l.handle <- H.hptr snap
 
   let leave t ~tid =
-    let slot = t.slots_of.(tid) in
-    let reap = t.reaps.(tid) in
-    let _count = I.leave_slot t.heads.(slot) ~handle:t.handles.(tid) reap in
-    t.handles.(tid) <- Hdr.nil;
-    Internal.drain t.stats ~tid reap
+    let l = t.locals.(tid) in
+    let _count = I.leave_slot t.heads.(l.slot) ~handle:l.handle l.reap in
+    l.handle <- Hdr.nil;
+    Internal.drain t.stats ~tid l.reap
 
   let trim t ~tid =
-    let slot = t.slots_of.(tid) in
-    let reap = t.reaps.(tid) in
-    let handle, _count = I.trim_slot t.heads.(slot) ~handle:t.handles.(tid) reap in
-    t.handles.(tid) <- handle;
-    Internal.drain t.stats ~tid reap
+    let l = t.locals.(tid) in
+    let handle, _count = I.trim_slot t.heads.(l.slot) ~handle:l.handle l.reap in
+    l.handle <- handle;
+    Internal.drain t.stats ~tid l.reap
 
   let alloc_hook t ~tid:_ (_ : Hdr.t) = Stats.on_alloc t.stats
 
@@ -73,8 +84,9 @@ module Make (H : Head.OPS) : Tracker_ext.S = struct
   let transfer _ ~tid:_ ~from_idx:_ ~to_idx:_ = ()
 
   let retire_batch t ~tid =
-    let refnode = Batch.seal t.builders.(tid) ~adjs:t.adjs in
-    let reap = t.reaps.(tid) in
+    let l = t.locals.(tid) in
+    let refnode = Batch.seal l.builder ~adjs:t.adjs in
+    let reap = l.reap in
     I.insert_batch
       (fun s -> t.heads.(s))
       ~k:t.k refnode
@@ -85,14 +97,15 @@ module Make (H : Head.OPS) : Tracker_ext.S = struct
 
   let retire t ~tid hdr =
     Tracker.retire_block t.stats ~tid hdr;
-    Batch.add t.builders.(tid) hdr;
-    if Batch.size t.builders.(tid) >= t.batch_size then retire_batch t ~tid
+    let builder = t.locals.(tid).builder in
+    Batch.add builder hdr;
+    if Batch.size builder >= t.batch_size then retire_batch t ~tid
 
   (* Finalize a partial batch by padding with dummy nodes (§2.4: local
      batches "can be immediately finalized by allocating a finite
      number of dummy nodes"), making the thread fully off the hook. *)
   let flush t ~tid =
-    let builder = t.builders.(tid) in
+    let builder = t.locals.(tid).builder in
     if not (Batch.is_empty builder) then begin
       while Batch.size builder < t.batch_size do
         let dummy = Hdr.create () in
@@ -107,11 +120,11 @@ module Make (H : Head.OPS) : Tracker_ext.S = struct
   let gauges t =
     let pend_total = ref 0 and pend_max = ref 0 in
     Array.iter
-      (fun b ->
-        let s = Batch.size b in
+      (fun l ->
+        let s = Batch.size l.builder in
         pend_total := !pend_total + s;
         if s > !pend_max then pend_max := s)
-      t.builders;
+      t.locals;
     [
       ("slots", t.k);
       ("batch_pending_total", !pend_total);

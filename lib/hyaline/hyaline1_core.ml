@@ -45,7 +45,7 @@ module Boxed_word : WORD = struct
   type t = word Atomic.t
 
   let backend = "boxed"
-  let make () = Atomic.make idle
+  let make () = Prims.Padded.atomic idle
   let get = Atomic.get
   let exchange_active t = Atomic.exchange t active_empty
   let exchange_idle t = Atomic.exchange t idle
@@ -73,7 +73,7 @@ module Packed_word : WORD = struct
   type word = int
 
   let backend = "packed"
-  let make () = Atomic.make 0
+  let make () = Prims.Padded.atomic 0
   let get = Atomic.get
   let exchange_active t = Atomic.exchange t 1
   let exchange_idle t = Atomic.exchange t 0
@@ -95,6 +95,16 @@ module Make
       val eras : bool
     end)
     (W : WORD) : Tracker_ext.S = struct
+  (* Per-tid state, owner-written on every bracket and allocation.
+     Records, builders, reaps, words and access eras are Prims.Padded
+     blocks, so no two threads share a cache line. *)
+  type local = {
+    mutable handle : Hdr.t;
+    mutable allocs : int;
+    builder : Batch.t;
+    reap : Internal.reap; (* reused; drain empties it *)
+  }
+
   type t = {
     cfg : Config.t;
     k : int; (* = nthreads: one slot per thread *)
@@ -102,10 +112,7 @@ module Make
     heads : W.t array;
     accesses : int Atomic.t array; (* 1S: per-slot access eras *)
     era : int Atomic.t;
-    alloc_count : int array;
-    handles : Hdr.t array;
-    builders : Batch.t array;
-    reaps : Internal.reap array; (* per tid, reused; drain empties them *)
+    locals : local array;
     stats : Stats.t;
   }
 
@@ -124,24 +131,29 @@ module Make
       k;
       batch_size = max cfg.batch_min (k + 1);
       heads = Array.init k (fun _ -> W.make ());
-      accesses = Array.init k (fun _ -> Atomic.make 0);
-      era = Atomic.make 1;
-      alloc_count = Array.make k 0;
-      handles = Array.make k Hdr.nil;
-      builders = Array.init k (fun _ -> Batch.create ());
-      reaps = Array.init k (fun _ -> Internal.new_reap ());
+      accesses = Array.init k (fun _ -> Prims.Padded.atomic 0);
+      era = Prims.Padded.atomic 1;
+      locals =
+        Array.init k (fun _ ->
+            Prims.Padded.copy
+              {
+                handle = Hdr.nil;
+                allocs = 0;
+                builder = Batch.create ();
+                reap = Internal.new_reap ();
+              });
       stats = Stats.create ();
     }
 
   let slots t = t.k
-  let pending t ~tid = Batch.size t.builders.(tid)
+  let pending t ~tid = Batch.size t.locals.(tid).builder
 
   (* Wait-free: an inactive slot is touched by nobody else (retire
      skips it), so publication is a plain exchange of a constant. *)
   let enter t ~tid =
     let old = W.exchange_active t.heads.(tid) in
     assert ((not (W.active old)) && W.empty old);
-    t.handles.(tid) <- Hdr.nil
+    t.locals.(tid).handle <- Hdr.nil
 
   (* Wait-free: detach the whole list and drop the bit in one
      exchange; the owner then dereferences every node it detached, down
@@ -151,14 +163,14 @@ module Make
   let leave t ~tid =
     let old = W.exchange_idle t.heads.(tid) in
     assert (W.active old);
-    let reap = t.reaps.(tid) in
+    let l = t.locals.(tid) in
     (* [empty] keeps the uncontended bracket free of the pointer
        decode: the packed registry lookup only happens when there is
        a detached list to traverse. *)
     (if not (W.empty old) then
-       ignore (Internal.traverse reap ~next:(W.hptr old) ~handle:t.handles.(tid)));
-    t.handles.(tid) <- Hdr.nil;
-    Internal.drain t.stats ~tid reap
+       ignore (Internal.traverse l.reap ~next:(W.hptr old) ~handle:l.handle));
+    l.handle <- Hdr.nil;
+    Internal.drain t.stats ~tid l.reap
 
   (* Fig. 3-style trim: dereference everything below the current first
      node without touching the bit; the first node itself stays
@@ -166,20 +178,35 @@ module Make
      multi-slot trim. *)
   let trim t ~tid =
     let cur = W.hptr (W.get t.heads.(tid)) in
-    let reap = t.reaps.(tid) in
-    (if cur != t.handles.(tid) then
-       ignore
-         (Internal.traverse reap ~next:cur.Hdr.next ~handle:t.handles.(tid)));
-    t.handles.(tid) <- cur;
-    Internal.drain t.stats ~tid reap
+    let l = t.locals.(tid) in
+    (if cur != l.handle then
+       ignore (Internal.traverse l.reap ~next:cur.Hdr.next ~handle:l.handle));
+    l.handle <- cur;
+    Internal.drain t.stats ~tid l.reap
 
   let alloc_hook t ~tid hdr =
     Stats.on_alloc t.stats;
     if E.eras then begin
-      let c = t.alloc_count.(tid) + 1 in
-      t.alloc_count.(tid) <- c;
+      let l = t.locals.(tid) in
+      let c = l.allocs + 1 in
+      l.allocs <- c;
       if c mod t.cfg.epoch_freq = 0 then ignore (Atomic.fetch_and_add t.era 1);
       hdr.Hdr.birth <- Atomic.get t.era
+    end
+
+  (* Fig. 5 deref; with a 1:1 thread-slot mapping touch is an
+     ordinary store (only the owner ever writes its access era).
+     Top-level so a dereference allocates nothing. *)
+  let rec deref t access a proj =
+    let v = Atomic.get a in
+    let alloc = Atomic.get t.era in
+    if Atomic.get access >= alloc then begin
+      if t.cfg.check_uaf then Hdr.check_not_freed "Hyaline1s.read" (proj v);
+      v
+    end
+    else begin
+      Atomic.set access alloc;
+      deref t access a proj
     end
 
   let read t ~tid ~idx:_ a proj =
@@ -188,33 +215,17 @@ module Make
       if t.cfg.check_uaf then Hdr.check_not_freed "Hyaline1.read" (proj v);
       v
     end
-    else
-      (* Fig. 5 deref; with a 1:1 thread-slot mapping touch is an
-         ordinary store (only the owner ever writes its access era). *)
-      let access = t.accesses.(tid) in
-      let rec loop () =
-        let v = Atomic.get a in
-        let alloc = Atomic.get t.era in
-        if Atomic.get access >= alloc then begin
-          if t.cfg.check_uaf then
-            Hdr.check_not_freed "Hyaline1s.read" (proj v);
-          v
-        end
-        else begin
-          Atomic.set access alloc;
-          loop ()
-        end
-      in
-      loop ()
+    else deref t t.accesses.(tid) a proj
 
   let transfer _ ~tid:_ ~from_idx:_ ~to_idx:_ = ()
 
   let retire_batch t ~tid =
-    let min_birth = Batch.min_birth t.builders.(tid) in
+    let l = t.locals.(tid) in
+    let min_birth = Batch.min_birth l.builder in
     (* No Adjs arithmetic in Hyaline-1: the batch's count is simply
        the number of slots it reaches (Fig. 4). *)
-    let refnode = Batch.seal t.builders.(tid) ~adjs:0 in
-    let reap = t.reaps.(tid) in
+    let refnode = Batch.seal l.builder ~adjs:0 in
+    let reap = l.reap in
     let inserts = ref 0 in
     let node = ref refnode.Hdr.batch_link in
     (* As in Internal.insert_batch, the backoff record is created only
@@ -265,11 +276,12 @@ module Make
 
   let retire t ~tid hdr =
     Tracker.retire_block t.stats ~tid hdr;
-    Batch.add t.builders.(tid) hdr;
-    if Batch.size t.builders.(tid) >= t.batch_size then retire_batch t ~tid
+    let builder = t.locals.(tid).builder in
+    Batch.add builder hdr;
+    if Batch.size builder >= t.batch_size then retire_batch t ~tid
 
   let flush t ~tid =
-    let builder = t.builders.(tid) in
+    let builder = t.locals.(tid).builder in
     if not (Batch.is_empty builder) then begin
       while Batch.size builder < t.batch_size do
         let dummy = Hdr.create () in
@@ -285,11 +297,11 @@ module Make
   let gauges t =
     let pend_total = ref 0 and pend_max = ref 0 in
     Array.iter
-      (fun b ->
-        let s = Batch.size b in
+      (fun l ->
+        let s = Batch.size l.builder in
         pend_total := !pend_total + s;
         if s > !pend_max then pend_max := s)
-      t.builders;
+      t.locals;
     [
       ("slots", t.k);
       ("batch_pending_total", !pend_total);

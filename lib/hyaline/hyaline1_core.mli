@@ -11,7 +11,10 @@ module type WORD = sig
   type word
 
   val backend : string
+
   val make : unit -> t
+  (** A fresh idle word on cache lines of its own ({!Prims.Padded}). *)
+
   val get : t -> word
 
   val exchange_active : t -> word

@@ -3,6 +3,18 @@ open Smr
 module Make (H : Head.OPS) : Tracker_ext.S = struct
   module I = Internal.Make (H)
 
+  (* Per-tid state, written by its owner on every bracket and
+     allocation.  The record, its builder and reap, and every slot cell
+     below are Prims.Padded blocks: threads in different slots then
+     share no cache line. *)
+  type local = {
+    mutable slot : int; (* slot chosen by the last enter *)
+    mutable handle : Hdr.t;
+    mutable allocs : int;
+    builder : Batch.t;
+    reap : Internal.reap; (* reused; drain empties it *)
+  }
+
   type t = {
     cfg : Config.t;
     k : int Atomic.t; (* current slot count; grows when adaptive *)
@@ -10,11 +22,7 @@ module Make (H : Head.OPS) : Tracker_ext.S = struct
     accesses : int Atomic.t Directory.t; (* per-slot access eras *)
     acks : int Atomic.t Directory.t; (* per-slot Ack counters *)
     era : int Atomic.t; (* the AllocEra clock *)
-    alloc_count : int array; (* per tid, owner-written *)
-    handles : Hdr.t array;
-    slots_of : int array;
-    builders : Batch.t array;
-    reaps : Internal.reap array; (* per tid, reused; drain empties them *)
+    locals : local array;
     stats : Stats.t;
   }
 
@@ -28,21 +36,26 @@ module Make (H : Head.OPS) : Tracker_ext.S = struct
     let kmin = cfg.slots in
     {
       cfg;
-      k = Atomic.make kmin;
+      k = Prims.Padded.atomic kmin;
       heads = Directory.create ~kmin H.make;
-      accesses = Directory.create ~kmin (fun () -> Atomic.make 0);
-      acks = Directory.create ~kmin (fun () -> Atomic.make 0);
-      era = Atomic.make 1;
-      alloc_count = Array.make cfg.nthreads 0;
-      handles = Array.make cfg.nthreads Hdr.nil;
-      slots_of = Array.init cfg.nthreads (fun tid -> tid land (kmin - 1));
-      builders = Array.init cfg.nthreads (fun _ -> Batch.create ());
-      reaps = Array.init cfg.nthreads (fun _ -> Internal.new_reap ());
+      accesses = Directory.create ~kmin (fun () -> Prims.Padded.atomic 0);
+      acks = Directory.create ~kmin (fun () -> Prims.Padded.atomic 0);
+      era = Prims.Padded.atomic 1;
+      locals =
+        Array.init cfg.nthreads (fun tid ->
+            Prims.Padded.copy
+              {
+                slot = tid land (kmin - 1);
+                handle = Hdr.nil;
+                allocs = 0;
+                builder = Batch.create ();
+                reap = Internal.new_reap ();
+              });
       stats = Stats.create ();
     }
 
   let slots t = Atomic.get t.k
-  let pending t ~tid = Batch.size t.builders.(tid)
+  let pending t ~tid = Batch.size t.locals.(tid).builder
 
   (* §4.3: double the slot space.  Losers of the CAS just observe the
      winner's larger k; Directory.ensure is idempotent. *)
@@ -74,72 +87,69 @@ module Make (H : Head.OPS) : Tracker_ext.S = struct
       else slot
     else scan_slot t ((slot + 1) land (k - 1)) (attempts + 1) k
 
-  let pick_slot t ~tid =
-    let k = Atomic.get t.k in
-    scan_slot t (t.slots_of.(tid) land (k - 1)) 0 k
-
   let enter t ~tid =
-    let slot = pick_slot t ~tid in
-    t.slots_of.(tid) <- slot;
+    let l = t.locals.(tid) in
+    let k = Atomic.get t.k in
+    let slot = scan_slot t (l.slot land (k - 1)) 0 k in
+    l.slot <- slot;
     let snap = H.enter_faa (Directory.get t.heads slot) in
-    t.handles.(tid) <- H.hptr snap
+    l.handle <- H.hptr snap
 
   let leave t ~tid =
-    let slot = t.slots_of.(tid) in
-    let reap = t.reaps.(tid) in
+    let l = t.locals.(tid) in
     let count =
-      I.leave_slot (Directory.get t.heads slot) ~handle:t.handles.(tid) reap
+      I.leave_slot (Directory.get t.heads l.slot) ~handle:l.handle l.reap
     in
     if count > 0 then
-      ignore (Atomic.fetch_and_add (Directory.get t.acks slot) (-count));
-    t.handles.(tid) <- Hdr.nil;
-    Internal.drain t.stats ~tid reap
+      ignore (Atomic.fetch_and_add (Directory.get t.acks l.slot) (-count));
+    l.handle <- Hdr.nil;
+    Internal.drain t.stats ~tid l.reap
 
   let trim t ~tid =
-    let slot = t.slots_of.(tid) in
-    let reap = t.reaps.(tid) in
+    let l = t.locals.(tid) in
     let handle, count =
-      I.trim_slot (Directory.get t.heads slot) ~handle:t.handles.(tid) reap
+      I.trim_slot (Directory.get t.heads l.slot) ~handle:l.handle l.reap
     in
     if count > 0 then
-      ignore (Atomic.fetch_and_add (Directory.get t.acks slot) (-count));
-    t.handles.(tid) <- handle;
-    Internal.drain t.stats ~tid reap
+      ignore (Atomic.fetch_and_add (Directory.get t.acks l.slot) (-count));
+    l.handle <- handle;
+    Internal.drain t.stats ~tid l.reap
 
   (* Fig. 5 init_node: advance the era clock every Freq allocations
      and stamp the block's birth. *)
   let alloc_hook t ~tid hdr =
     Stats.on_alloc t.stats;
-    let c = t.alloc_count.(tid) + 1 in
-    t.alloc_count.(tid) <- c;
+    let l = t.locals.(tid) in
+    let c = l.allocs + 1 in
+    l.allocs <- c;
     if c mod t.cfg.epoch_freq = 0 then ignore (Atomic.fetch_and_add t.era 1);
     hdr.Hdr.birth <- Atomic.get t.era
 
   (* Fig. 5 deref: publish (via the monotonic touch) an access era at
-     least as recent as the clock before trusting the loaded value. *)
+     least as recent as the clock before trusting the loaded value.
+     Top-level, like [scan_slot], so a dereference allocates nothing. *)
+  let rec deref t access a proj =
+    let v = Atomic.get a in
+    let alloc = Atomic.get t.era in
+    if Atomic.get access >= alloc then begin
+      if t.cfg.check_uaf then Hdr.check_not_freed "Hyaline_s.read" (proj v);
+      v
+    end
+    else begin
+      ignore (Prims.Xatomic.cas_max access alloc);
+      deref t access a proj
+    end
+
   let read t ~tid ~idx:_ a proj =
-    let slot = t.slots_of.(tid) in
-    let access = Directory.get t.accesses slot in
-    let rec loop () =
-      let v = Atomic.get a in
-      let alloc = Atomic.get t.era in
-      if Atomic.get access >= alloc then begin
-        if t.cfg.check_uaf then Hdr.check_not_freed "Hyaline_s.read" (proj v);
-        v
-      end
-      else begin
-        ignore (Prims.Xatomic.cas_max access alloc);
-        loop ()
-      end
-    in
-    loop ()
+    deref t (Directory.get t.accesses t.locals.(tid).slot) a proj
 
   let transfer _ ~tid:_ ~from_idx:_ ~to_idx:_ = ()
 
   let retire_batch t ~tid ~k_now =
-    let min_birth = Batch.min_birth t.builders.(tid) in
-    let refnode = Batch.seal t.builders.(tid) ~adjs:(Adjs.of_k k_now) in
-    let reap = t.reaps.(tid) in
+    let l = t.locals.(tid) in
+    let min_birth = Batch.min_birth l.builder in
+    let refnode = Batch.seal l.builder ~adjs:(Adjs.of_k k_now) in
+    let reap = l.reap in
     I.insert_batch
       (fun s -> Directory.get t.heads s)
       ~k:k_now refnode
@@ -154,13 +164,14 @@ module Make (H : Head.OPS) : Tracker_ext.S = struct
 
   let retire t ~tid hdr =
     Tracker.retire_block t.stats ~tid hdr;
-    Batch.add t.builders.(tid) hdr;
+    let builder = t.locals.(tid).builder in
+    Batch.add builder hdr;
     let k_now = Atomic.get t.k in
-    if Batch.size t.builders.(tid) >= max t.cfg.batch_min (k_now + 1) then
+    if Batch.size builder >= max t.cfg.batch_min (k_now + 1) then
       retire_batch t ~tid ~k_now
 
   let flush t ~tid =
-    let builder = t.builders.(tid) in
+    let builder = t.locals.(tid).builder in
     if not (Batch.is_empty builder) then begin
       let k_now = Atomic.get t.k in
       let target = max t.cfg.batch_min (k_now + 1) in
@@ -180,11 +191,11 @@ module Make (H : Head.OPS) : Tracker_ext.S = struct
   let gauges t =
     let pend_total = ref 0 and pend_max = ref 0 in
     Array.iter
-      (fun b ->
-        let s = Batch.size b in
+      (fun l ->
+        let s = Batch.size l.builder in
         pend_total := !pend_total + s;
         if s > !pend_max then pend_max := s)
-      t.builders;
+      t.locals;
     [
       ("slots", Atomic.get t.k);
       ("batch_pending_total", !pend_total);

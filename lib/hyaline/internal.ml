@@ -2,7 +2,7 @@ open Smr
 
 type reap = { mutable batches : Hdr.t list }
 
-let new_reap () = { batches = [] }
+let new_reap () = Prims.Padded.copy { batches = [] }
 
 let add_ref reap node v =
   let refn = node.Hdr.ref_node in

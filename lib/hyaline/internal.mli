@@ -13,6 +13,8 @@ type reap
     so slow deallocation never extends list traversals. *)
 
 val new_reap : unit -> reap
+(** An empty accumulator on cache lines of its own ({!Prims.Padded}):
+    its owner writes it whenever a bracket reaps. *)
 
 val add_ref : reap -> Smr.Hdr.t -> int -> unit
 (** [add_ref reap node v] adds [v] to the reference counter of

@@ -1,9 +1,8 @@
 type t = {
   cfg : Config.t;
   clock : int Atomic.t;
-  reservations : int Atomic.t array;
+  reservations : int Atomic.t array; (* each on lines of its own *)
   limbo : Limbo.t array;
-  alloc_count : int array;
   stats : Stats.t;
 }
 
@@ -16,10 +15,10 @@ let create cfg =
   Config.validate cfg;
   {
     cfg;
-    clock = Atomic.make 0;
-    reservations = Array.init cfg.nthreads (fun _ -> Atomic.make inactive);
+    clock = Prims.Padded.atomic 0;
+    reservations =
+      Array.init cfg.nthreads (fun _ -> Prims.Padded.atomic inactive);
     limbo = Array.init cfg.nthreads (fun _ -> Limbo.create ());
-    alloc_count = Array.make cfg.nthreads 0;
     stats = Stats.create ();
   }
 
@@ -32,9 +31,8 @@ let trim t ~tid =
 
 let alloc_hook t ~tid hdr =
   Stats.on_alloc t.stats;
-  let c = t.alloc_count.(tid) + 1 in
-  t.alloc_count.(tid) <- c;
-  if c mod t.cfg.epoch_freq = 0 then Atomic.incr t.clock;
+  if Limbo.tick_alloc t.limbo.(tid) ~every:t.cfg.epoch_freq then
+    Atomic.incr t.clock;
   hdr.Hdr.birth <- Atomic.get t.clock
 
 let read t ~tid:_ ~idx:_ a proj =

@@ -1,11 +1,11 @@
 type t = {
   cfg : Config.t;
   clock : int Atomic.t;
-  (* eras.(tid).(idx): published protection eras; 0 = empty (the clock
-     starts at 1 so a published era is never 0). *)
+  (* eras.(tid).(idx): published protection eras, each on lines of its
+     own; 0 = empty (the clock starts at 1 so a published era is never
+     0). *)
   eras : int Atomic.t array array;
   limbo : Limbo.t array;
-  alloc_count : int array;
   stats : Stats.t;
 }
 
@@ -18,12 +18,11 @@ let create cfg =
   Config.validate cfg;
   {
     cfg;
-    clock = Atomic.make 1;
+    clock = Prims.Padded.atomic 1;
     eras =
       Array.init cfg.nthreads (fun _ ->
-          Array.init cfg.hazards (fun _ -> Atomic.make empty));
+          Array.init cfg.hazards (fun _ -> Prims.Padded.atomic empty));
     limbo = Array.init cfg.nthreads (fun _ -> Limbo.create ());
-    alloc_count = Array.make cfg.nthreads 0;
     stats = Stats.create ();
   }
 
@@ -38,9 +37,8 @@ let trim t ~tid =
 
 let alloc_hook t ~tid hdr =
   Stats.on_alloc t.stats;
-  let c = t.alloc_count.(tid) + 1 in
-  t.alloc_count.(tid) <- c;
-  if c mod t.cfg.epoch_freq = 0 then Atomic.incr t.clock;
+  if Limbo.tick_alloc t.limbo.(tid) ~every:t.cfg.epoch_freq then
+    Atomic.incr t.clock;
   hdr.Hdr.birth <- Atomic.get t.clock
 
 let read t ~tid ~idx a _proj =

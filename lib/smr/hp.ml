@@ -1,6 +1,7 @@
 type t = {
   cfg : Config.t;
-  (* hazards.(tid).(idx): protected block, [Hdr.nil] when empty. *)
+  (* hazards.(tid).(idx): protected block, [Hdr.nil] when empty; each
+     on lines of its own. *)
   hazards : Hdr.t Atomic.t array array;
   limbo : Limbo.t array;
   stats : Stats.t;
@@ -16,7 +17,7 @@ let create cfg =
     cfg;
     hazards =
       Array.init cfg.nthreads (fun _ ->
-          Array.init cfg.hazards (fun _ -> Atomic.make Hdr.nil));
+          Array.init cfg.hazards (fun _ -> Prims.Padded.atomic Hdr.nil));
     limbo = Array.init cfg.nthreads (fun _ -> Limbo.create ());
     stats = Stats.create ();
   }

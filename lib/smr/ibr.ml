@@ -1,10 +1,9 @@
 type t = {
   cfg : Config.t;
   clock : int Atomic.t;
-  lower : int Atomic.t array;
+  lower : int Atomic.t array; (* each on lines of its own *)
   upper : int Atomic.t array;
   limbo : Limbo.t array;
-  alloc_count : int array;
   stats : Stats.t;
 }
 
@@ -16,11 +15,10 @@ let create cfg =
   Config.validate cfg;
   {
     cfg;
-    clock = Atomic.make 0;
-    lower = Array.init cfg.nthreads (fun _ -> Atomic.make max_int);
-    upper = Array.init cfg.nthreads (fun _ -> Atomic.make min_int);
+    clock = Prims.Padded.atomic 0;
+    lower = Array.init cfg.nthreads (fun _ -> Prims.Padded.atomic max_int);
+    upper = Array.init cfg.nthreads (fun _ -> Prims.Padded.atomic min_int);
     limbo = Array.init cfg.nthreads (fun _ -> Limbo.create ());
-    alloc_count = Array.make cfg.nthreads 0;
     stats = Stats.create ();
   }
 
@@ -39,9 +37,8 @@ let trim t ~tid =
 
 let alloc_hook t ~tid hdr =
   Stats.on_alloc t.stats;
-  let c = t.alloc_count.(tid) + 1 in
-  t.alloc_count.(tid) <- c;
-  if c mod t.cfg.epoch_freq = 0 then Atomic.incr t.clock;
+  if Limbo.tick_alloc t.limbo.(tid) ~every:t.cfg.epoch_freq then
+    Atomic.incr t.clock;
   hdr.Hdr.birth <- Atomic.get t.clock
 
 (* 2GE protected read: keep raising our published [upper] until the

@@ -1,6 +1,19 @@
-type t = { mutable head : Hdr.t; mutable size : int; mutable since_scan : int }
+type t = {
+  mutable head : Hdr.t;
+  mutable size : int;
+  mutable since_scan : int;
+  mutable allocs : int;
+}
 
-let create () = { head = Hdr.nil; size = 0; since_scan = 0 }
+(* Owner-written on every retire and allocation: padded, so two
+   threads' limbos never share a cache line. *)
+let create () =
+  Prims.Padded.copy { head = Hdr.nil; size = 0; since_scan = 0; allocs = 0 }
+
+let tick_alloc t ~every =
+  let c = t.allocs + 1 in
+  t.allocs <- c;
+  c mod every = 0
 
 let push t h =
   h.Hdr.next <- t.head;

@@ -3,11 +3,17 @@
     EBR, HP, HE and IBR all buffer retired blocks in a thread-local
     list and periodically attempt to reclaim ("empty" in the Wen et
     al. framework).  The list links through {!Hdr.t.next}; a limbo is
-    owned by a single thread and is not thread-safe. *)
+    owned by a single thread and is not thread-safe.  It also counts
+    its owner's allocations for the era-clock schemes. *)
 
 type t
 
 val create : unit -> t
+(** An empty limbo on cache lines of its own ({!Prims.Padded}). *)
+
+val tick_alloc : t -> every:int -> bool
+(** Count one allocation by the owner; true on every [every]-th, when
+    the caller advances its era clock. *)
 
 val push : t -> Hdr.t -> unit
 (** Add a retired block; bumps the retire counter used by

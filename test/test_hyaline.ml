@@ -228,22 +228,31 @@ let test_packed_head_ops () =
   Alcotest.(check bool) "hptr preserved across cas_ref" true
     (P.hptr final == n)
 
-(* The tentpole's raison d'être: an uncontended enter/leave bracket on
-   the packed backend performs no minor-heap allocation.  1_000
-   brackets must allocate fewer than 1_000 words total — sub-one word
-   per bracket proves the steady-state path is allocation-free (the
-   slack absorbs the [Gc.minor_words] float boxing and any one-off
-   lazy initialization). *)
+(* The tentpole's raison d'être: an uncontended enter/read/leave
+   bracket on the packed backend performs no minor-heap allocation.
+   1_000 brackets must allocate fewer than 1_000 words total — sub-one
+   word per bracket proves the steady-state path, dereference
+   included, is allocation-free (the slack absorbs the
+   [Gc.minor_words] float boxing and any one-off lazy
+   initialization).  Each bracket allocates one block first, so the
+   era clock moves and the eras schemes' reads take their publish
+   branch as well as the fast one. *)
 let test_packed_bracket_zero_alloc (module T : Tracker.S) () =
-  let t = T.create { Config.default with nthreads = 2 } in
-  for _ = 1 to 100 do
+  let t = T.create { Config.default with nthreads = 2; epoch_freq = 2 } in
+  let hdr = Hdr.create () in
+  let cell = Atomic.make hdr in
+  let bracket () =
     T.enter t ~tid:0;
+    T.alloc_hook t ~tid:0 hdr;
+    ignore (T.read t ~tid:0 ~idx:0 cell Fun.id : Hdr.t);
     T.leave t ~tid:0
+  in
+  for _ = 1 to 100 do
+    bracket ()
   done;
   let before = Gc.minor_words () in
   for _ = 1 to 1_000 do
-    T.enter t ~tid:0;
-    T.leave t ~tid:0
+    bracket ()
   done;
   let after = Gc.minor_words () in
   let per_bracket = (after -. before) /. 1_000. in
@@ -856,6 +865,10 @@ let suites =
           (test_packed_bracket_zero_alloc (module Hyaline1.Packed));
         Alcotest.test_case "Crystalline(packed) bracket allocation-free" `Quick
           (test_packed_bracket_zero_alloc (module Crystalline.Packed));
+        Alcotest.test_case "Hyaline-S(packed) bracket allocation-free" `Quick
+          (test_packed_bracket_zero_alloc (module Hyaline_s.Packed));
+        Alcotest.test_case "Hyaline-1S(packed) bracket allocation-free" `Quick
+          (test_packed_bracket_zero_alloc (module Hyaline1s.Packed));
         Alcotest.test_case "insert_batch rejects tombstone decode" `Quick
           test_insert_batch_tombstone_retry;
         Alcotest.test_case "hyaline-1 retire rejects tombstone decode" `Quick

@@ -217,6 +217,73 @@ let test_parker_ping_pong () =
   Alcotest.(check bool) "every round woken" true (Atomic.get finished);
   Alcotest.(check int) "final turn" (2 * rounds) (Atomic.get turn)
 
+(* ------------------------------------------------------------------ *)
+(* Padded *)
+
+(* Two domains race fetch_and_add, a CAS increment loop and exchange
+   on padded atomics; every result must be exact. *)
+let test_padded_atomic_concurrent () =
+  let n = 100_000 in
+  let faa = Padded.atomic 0 and cas = Padded.atomic 0 in
+  let xchg = Padded.atomic 0 in
+  let rec cas_incr () =
+    let v = Atomic.get cas in
+    if not (Atomic.compare_and_set cas v (v + 1)) then cas_incr ()
+  in
+  let worker d () =
+    let taken = ref 0 in
+    for i = 1 to n do
+      ignore (Atomic.fetch_and_add faa 1);
+      cas_incr ();
+      taken := !taken + Atomic.exchange xchg ((d * n) + i)
+    done;
+    !taken
+  in
+  let ds = List.init 2 (fun d -> Domain.spawn (worker d)) in
+  let taken = List.fold_left (fun acc d -> acc + Domain.join d) 0 ds in
+  Alcotest.(check int) "fetch_and_add" (2 * n) (Atomic.get faa);
+  Alcotest.(check int) "compare_and_set" (2 * n) (Atomic.get cas);
+  (* Every value put in comes out exactly once: taken by a later
+     exchange, or left as the final value. *)
+  let put = (2 * n * ((2 * n) + 1)) / 2 in
+  Alcotest.(check int) "exchange conserves" put (taken + Atomic.get xchg)
+
+type padded_rec = {
+  mutable count : int;
+  name : string;
+  items : int list;
+  cell : int Atomic.t;
+}
+
+let test_padded_survives_compaction () =
+  let orig = { count = 3; name = "slot"; items = [ 1; 2; 3 ]; cell = Atomic.make 7 } in
+  let r = Padded.copy { orig with cell = Padded.atomic 7 } in
+  Alcotest.(check int) "padding words"
+    (Obj.size (Obj.repr orig) + Padded.spare)
+    (Obj.size (Obj.repr r));
+  r.count <- 4;
+  Gc.compact ();
+  Alcotest.(check int) "mutable field" 4 r.count;
+  Alcotest.(check string) "string field" "slot" r.name;
+  Alcotest.(check (list int)) "list field" [ 1; 2; 3 ] r.items;
+  Alcotest.(check int) "padded atomic" 7 (Atomic.get r.cell);
+  r.count <- 5;
+  Atomic.incr r.cell;
+  Gc.compact ();
+  Alcotest.(check int) "mutable field after" 5 r.count;
+  Alcotest.(check int) "padded atomic after" 8 (Atomic.get r.cell)
+
+let test_padded_refuses () =
+  Alcotest.check_raises "float array"
+    (Invalid_argument "Padded.copy: float array") (fun () ->
+      ignore (Padded.copy [| 1.0; 2.0 |]));
+  Alcotest.check_raises "string"
+    (Invalid_argument "Padded.copy: no-scan block") (fun () ->
+      ignore (Padded.copy (String.make 3 'x')));
+  Alcotest.check_raises "immediate"
+    (Invalid_argument "Padded.copy: immediate value") (fun () ->
+      ignore (Padded.copy 5))
+
 let suites =
   [
     ( "prims.backoff",
@@ -233,6 +300,15 @@ let suites =
         Alcotest.test_case "update concurrent" `Quick test_update_concurrent;
         Alcotest.test_case "wrapping_add Adjs identity" `Quick
           test_wrapping_add;
+      ] );
+    ( "prims.padded",
+      [
+        Alcotest.test_case "atomics exact under 2 domains" `Quick
+          test_padded_atomic_concurrent;
+        Alcotest.test_case "fields survive compaction" `Quick
+          test_padded_survives_compaction;
+        Alcotest.test_case "refuses float arrays and no-scan blocks" `Quick
+          test_padded_refuses;
       ] );
     ( "prims.parker",
       [
