@@ -11,7 +11,7 @@ module Make (T : Smr.Tracker.S) : Map_intf.S = struct
   let name = "list"
 
   let create ?seed:_ ~cfg () =
-    { core = C.make_core cfg; head = Atomic.make { C.succ = None; marked = false } }
+    { core = C.make_core cfg; head = C.make_head () }
 
   let enter t ~tid = T.enter t.core.C.tracker ~tid
   let leave t ~tid = T.leave t.core.C.tracker ~tid

@@ -18,7 +18,7 @@ module Make (T : Smr.Tracker.S) : Map_intf.S = struct
     let n = default_buckets in
     {
       core = C.make_core cfg;
-      buckets = Array.init n (fun _ -> Atomic.make { C.succ = None; marked = false });
+      buckets = Array.init n (fun _ -> C.make_head ());
       mask = n - 1;
     }
 

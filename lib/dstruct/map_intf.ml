@@ -11,7 +11,9 @@
     programming model (Figure 1a): wrap each operation in
     {!S.enter}/{!S.leave} — or chain operations with {!S.trim} for the
     Figure 10b experiment.  Operations must not be invoked outside a
-    bracket. *)
+    bracket.  A [tid] in [0 .. cfg.nthreads - 1] is used by one domain
+    at a time: the list and the hashmap keep a per-tid search cursor,
+    as the trackers keep per-tid state. *)
 
 module type S = sig
   type t

@@ -17,14 +17,27 @@ let pp_stats ppf { created; allocs; frees } =
 
 module Make (P : POOLABLE) = struct
   (* Per-domain free cache.  [count] is maintained incrementally so
-     [free] never walks the list (spilling used to be O(cache) per
-     free). *)
+     [free] never walks the list. *)
   type cache = { mutable count : int; mutable nodes : P.t list }
+
+  (* The shared free list: a CAS stack of immutable magazines.  A
+     magazine is one spilled cache, [node :: rest], [count] nodes in
+     all; [total] counts the nodes of this magazine and every one below
+     it, so the top alone gives the stack's length.  Each push
+     allocates a fresh [Mag], so a CAS on the top cannot ABA. *)
+  type stack =
+    | Empty
+    | Mag of {
+        node : P.t;
+        rest : P.t list;
+        count : int;
+        total : int;
+        below : stack;
+      }
 
   type t = {
     next_index : int Atomic.t;
-    shared_free : P.t list Atomic.t;
-    shared_len : int Atomic.t;
+    shared : stack Atomic.t;
     local_cache : int;
     cache_key : cache Domain.DLS.key;
     created : int Atomic.t;
@@ -41,8 +54,7 @@ module Make (P : POOLABLE) = struct
     if local_cache < 0 then invalid_arg "Mpool.create: local_cache < 0";
     {
       next_index = Atomic.make 0;
-      shared_free = Atomic.make [];
-      shared_len = Atomic.make 0;
+      shared = Atomic.make Empty;
       local_cache;
       cache_key = Domain.DLS.new_key (fun () -> { count = 0; nodes = [] });
       created = Atomic.make 0;
@@ -65,75 +77,22 @@ module Make (P : POOLABLE) = struct
     else if Atomic.compare_and_set t.oom_budget n (n - 1) then true
     else take_oom t
 
-  let rec push_shared t node =
-    let old = Atomic.get t.shared_free in
-    if Atomic.compare_and_set t.shared_free old (node :: old) then
-      Atomic.incr t.shared_len
-    else push_shared t node
+  let total = function Empty -> 0 | Mag m -> m.total
 
-  (* Spill a whole cache with a single successful CAS: splice the
-     spilled list in front of the shared list.  The splice is rebuilt
-     on a CAS failure, but each retry is O(spill) with spill bounded by
-     [local_cache] — versus the old one-CAS-per-node loop. *)
-  let rec splice_shared t spilled n =
-    let old = Atomic.get t.shared_free in
-    if Atomic.compare_and_set t.shared_free old (List.rev_append spilled old)
-    then ignore (Atomic.fetch_and_add t.shared_len n)
-    else splice_shared t spilled n
+  (* Spill: one CAS pushes a whole cache, whatever the stack holds. *)
+  let rec push t node rest count =
+    let below = Atomic.get t.shared in
+    let top = Mag { node; rest; count; total = count + total below; below } in
+    if not (Atomic.compare_and_set t.shared below top) then
+      push t node rest count
 
-  let rec pop_shared t =
-    match Atomic.get t.shared_free with
-    | [] -> None
-    | node :: rest as old ->
-        if Atomic.compare_and_set t.shared_free old rest then begin
-          Atomic.decr t.shared_len;
-          Some node
-        end
-        else pop_shared t
-
-  (* Cache-miss path: grab the whole shared list in one [exchange] —
-     no CAS loop, so a refill cannot livelock against concurrent
-     pushers — keep up to [local_cache] nodes for this domain's cache,
-     and splice the surplus back.  A miss used to pay one CAS per
-     node popped; now a burst of misses on one domain pays one RMW
-     per [local_cache] allocations.  The cheap empty-check load comes
-     first so idle domains don't bounce the line with useless RMWs.
-     Deliberate transient: between the exchange and the splice-back,
-     other domains see an empty list and fall through to [fresh], and
-     [shared_len] overcounts until the deferred adjustment lands —
-     both are benign (extra created nodes / a gauge upper bound; see
-     the .mli) and the price of the livelock-free exchange. *)
-  let refill t cache =
-    if Atomic.get t.shared_free == [] then None
-    else
-      match Atomic.exchange t.shared_free [] with
-      | [] -> None
-      | node :: rest ->
-          let rec keep acc n = function
-            | x :: xs when n < t.local_cache -> keep (x :: acc) (n + 1) xs
-            | surplus -> (acc, n, surplus)
-          in
-          let kept, n_kept, surplus = keep [] 0 rest in
-          cache.nodes <- kept;
-          cache.count <- n_kept;
-          (match surplus with
-          | [] -> ignore (Atomic.fetch_and_add t.shared_len (-(1 + n_kept)))
-          | _ ->
-              (* The exchange removed the whole list but [shared_len]
-                 still counts it, so after splicing the surplus back
-                 only what this domain took needs deducting.  The list
-                 is a free list: order is irrelevant, [rev_append] is
-                 fine. *)
-              let rec put back =
-                let old = Atomic.get t.shared_free in
-                if
-                  Atomic.compare_and_set t.shared_free old
-                    (List.rev_append back old)
-                then ignore (Atomic.fetch_and_add t.shared_len (-(1 + n_kept)))
-                else put back
-              in
-              put surplus);
-          Some node
+  (* Miss: one CAS pops one magazine.  The cheap empty check comes
+     first, so an idle domain does not bounce the line with an RMW. *)
+  let rec pop t =
+    match Atomic.get t.shared with
+    | Empty -> Empty
+    | Mag m as top ->
+        if Atomic.compare_and_set t.shared top m.below then top else pop t
 
   let fresh t =
     let i = Atomic.fetch_and_add t.next_index 1 in
@@ -144,34 +103,38 @@ module Make (P : POOLABLE) = struct
   let alloc t =
     if Atomic.get t.oom_budget > 0 && take_oom t then raise Injected_oom;
     Atomic.incr t.allocs;
+    let cache = Domain.DLS.get t.cache_key in
     let node =
-      if t.local_cache = 0 then
-        match pop_shared t with Some n -> n | None -> fresh t
-      else
-        let cache = Domain.DLS.get t.cache_key in
-        match cache.nodes with
-        | n :: rest ->
-            cache.nodes <- rest;
-            cache.count <- cache.count - 1;
-            n
-        | [] -> ( match refill t cache with Some n -> n | None -> fresh t)
+      match cache.nodes with
+      | n :: rest ->
+          cache.nodes <- rest;
+          cache.count <- cache.count - 1;
+          n
+      | [] -> (
+          match pop t with
+          | Empty -> fresh t
+          | Mag m ->
+              cache.nodes <- m.rest;
+              cache.count <- m.count - 1;
+              m.node)
     in
     P.on_alloc node;
     node
 
+  (* A free that would take the cache past [local_cache] nodes spills
+     the cache and [node] as one magazine of [local_cache + 1]. *)
   let free t node =
     P.on_free node;
     Atomic.incr t.frees;
-    if t.local_cache = 0 then push_shared t node
-    else begin
-      let cache = Domain.DLS.get t.cache_key in
+    let cache = Domain.DLS.get t.cache_key in
+    if cache.count < t.local_cache then begin
       cache.nodes <- node :: cache.nodes;
-      cache.count <- cache.count + 1;
-      if cache.count > t.local_cache then begin
-        splice_shared t cache.nodes cache.count;
-        cache.nodes <- [];
-        cache.count <- 0
-      end
+      cache.count <- cache.count + 1
+    end
+    else begin
+      push t node cache.nodes (cache.count + 1);
+      cache.nodes <- [];
+      cache.count <- 0
     end
 
   let stats t =
@@ -188,9 +151,7 @@ module Make (P : POOLABLE) = struct
     let a = Atomic.get t.allocs in
     max 0 (a - f)
 
-  (* Clamped: a pop's decrement can land before the matching push's
-     increment, leaving the counter transiently negative. *)
-  let shared_free_length t = max 0 (Atomic.get t.shared_len)
+  let shared_free_length t = total (Atomic.get t.shared)
 
   let gauges t =
     [

@@ -12,9 +12,11 @@
     framework's header records alive/retired/freed states and raises on
     violations in checked builds).
 
-    The pool is lock-free on the fast paths (free-list push/pop via CAS
-    on an immutable list; index assignment via fetch-and-add) and keeps
-    per-domain caches to avoid a single contended free list.
+    The pool is lock-free: each domain keeps a private free cache, and
+    the shared free list is a CAS stack of immutable {e magazines}, each
+    one spilled cache.  A spill pushes one magazine and a cache miss
+    pops one, so either takes one successful CAS however many nodes
+    are free.  Index assignment is a fetch-and-add.
 
     Every node receives a small, dense, stable integer {e index} at
     creation.  The pool keeps no index-to-node registry, so an empty
@@ -64,22 +66,21 @@ module Make (P : POOLABLE) : sig
 
   val create : ?local_cache:int -> unit -> t
   (** [create ()] returns an empty pool.  [local_cache] bounds the
-      per-domain private free cache (default [64]; [0] disables
-      caching, making every free/alloc hit the shared list — useful in
-      deterministic tests). *)
+      per-domain private free cache (default [64]).  The free that
+      would take a cache past [local_cache] nodes spills the cache,
+      that node included, as one magazine of [local_cache + 1] nodes.
+      [0] disables caching: every free pushes a magazine of one node
+      and every alloc pops one, which keeps reuse LIFO and
+      deterministic in tests. *)
 
   val alloc : t -> P.t
   (** [alloc t] returns a node, recycling a freed one when available.
-      Runs [P.on_alloc] before returning.  On a local-cache miss the
-      whole shared free list is taken in one atomic exchange and up to
-      [local_cache] nodes are kept locally (surplus is spliced back),
-      so a burst of misses pays one shared-list RMW per [local_cache]
-      allocations rather than one per node.  Between the exchange and
-      the splice-back, other domains observe an empty shared list and
-      may construct fresh nodes despite free ones existing — a
-      deliberate trade of occasional extra [created] nodes for a
-      refill that cannot livelock against concurrent pushers (node
-      reuse is a performance property here, never a correctness one).
+      Runs [P.on_alloc] before returning.  A hit in the domain's cache
+      touches no shared word.  A miss pops one magazine off the shared
+      stack, returns its first node and keeps the rest as the new
+      cache, so a burst of misses pays one CAS per magazine.  Only an
+      empty stack makes [alloc] construct a fresh node: a free node on
+      the shared stack is never hidden from another domain.
       @raise Injected_oom while a fault-injection budget is armed (the
       failed call consumes one budget unit and does not count as an
       alloc, so [live] stays exact). *)
@@ -108,12 +109,10 @@ module Make (P : POOLABLE) : sig
       alloc/free pair cannot drive the difference negative). *)
 
   val shared_free_length : t -> int
-  (** Current length of the shared free list (excludes per-domain
-      caches).  Maintained incrementally; racy but never negative.
-      While a refill's splice-back is in flight the gauge transiently
-      {e over}counts (the exchange empties the list before the length
-      is adjusted), so invariant checks — e.g. the chaos oracles —
-      should treat it as an upper bound, not an exact census. *)
+  (** Number of nodes on the shared magazine stack (excludes
+      per-domain caches).  Each magazine records the total of itself
+      and everything below it, so this is one atomic load of the top
+      and is exact at the instant of that load. *)
 
   val gauges : t -> (string * int) list
   (** Occupancy gauges for the observability layer:

@@ -288,12 +288,24 @@ val read_inline : t -> slot:int -> int -> int option option
     commit.  The epoch only grows, so [e] cannot recur.
 
     One write is not an [Atomic]: the hashmap's put on an existing key
-    overwrites the node's value field with a plain store.  Its order
-    after the odd mark, and the order of the reader's plain value load
-    before its second epoch load, come from the hardware (x86-64 keeps
-    each domain's stores in order and its loads in order), not from
-    OCaml's memory model.  A weakly ordered target would need a fence
-    on each side.
+    overwrites the node's value field with a plain store, and the
+    reader loads it with a plain load.  The argument holds for them
+    under OCaml 5's memory model, on any target OCaml supports, with no
+    fence in our code (Dolan, Sivaramakrishnan and Madhavapeddy,
+    "Bounding Data Races in Space and Time", PLDI 2018; the OCaml
+    manual's "Memory model: The hard bits").  In that model every
+    domain's accesses take effect in program order in one global
+    order; an atomic load returns the location's latest value; and a
+    plain load may return a stale write but never one that comes later
+    in that order.  The compiler emits the fences a weakly ordered
+    target needs to keep those rules.  So a value load that returns
+    the put's value comes after the store, which comes after the odd
+    mark.  The second epoch load comes after the value load, sees the
+    odd mark or a later value, and declines.  Atomic accesses also
+    carry each domain's view of plain writes (they act as release and
+    acquire), so after a first epoch load of [e] the value load cannot
+    return a value older than the last write of a run that closed at
+    or before [e].
 
     Same linearization as {!t.zc_get} otherwise: a GET accepted here is
     answered at the node read, without the run-boundary wait a mailed

@@ -12,6 +12,11 @@ type t = {
   state : int Atomic.t;
 }
 
+(* Named, so [h.free_hook == no_hook] tells an unbound hook apart
+   ([ignore] is a primitive: each mention of it is a closure of its
+   own, equal to no other). *)
+let no_hook () = ()
+
 let state_live = 0
 let state_retired = 1
 let state_freed = 2
@@ -27,7 +32,7 @@ let rec nil =
     birth = 0;
     retire_era = 0;
     retire_ns = 0;
-    free_hook = ignore;
+    free_hook = no_hook;
     state = Atomic.make state_live;
   }
 
@@ -46,7 +51,7 @@ let rec tombstone =
     birth = 0;
     retire_era = 0;
     retire_ns = 0;
-    free_hook = ignore;
+    free_hook = no_hook;
     state = Atomic.make state_freed;
   }
 
@@ -150,7 +155,7 @@ let create () =
       birth = 0;
       retire_era = 0;
       retire_ns = 0;
-      free_hook = ignore;
+      free_hook = no_hook;
       state = Atomic.make state_live;
     }
   in
@@ -191,6 +196,7 @@ let set_freed h =
   | None -> assert false
 
 let is_freed h = Atomic.get h.state = state_freed
+let is_live h = Atomic.get h.state = state_live
 
 let check_not_freed ctx h =
   if (not (is_nil h)) && is_freed h then

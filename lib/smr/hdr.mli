@@ -50,8 +50,12 @@ type t = {
           free funnel reports [now - retire_ns] as the block's
           reclamation lag. *)
   mutable free_hook : unit -> unit;
-      (** Returns the enclosing block to its pool.  Set once when the
-          enclosing node is created. *)
+      (** Returns the enclosing block to its pool.  A header starts with
+          {!no_hook}; a pooled node's owner binds the hook the first time
+          the pool hands the node out (when it still reads [== no_hook])
+          and never again, since recycling keeps the node in the same
+          pool.  Binding it on every allocation would build a closure
+          per allocation. *)
   state : int Atomic.t;  (** lifecycle word, see {!section-lifecycle} *)
 }
 
@@ -61,9 +65,13 @@ val nil : t
 
 val is_nil : t -> bool
 
+val no_hook : unit -> unit
+(** The no-op [free_hook] every header starts with.  Compare with [==]
+    to learn whether a header's hook is still unbound. *)
+
 val create : unit -> t
 (** [create ()] returns a fresh header in the {e live} state with all
-    links set to {!nil} and a no-op [free_hook].  The header is
+    links set to {!nil} and [free_hook] set to {!no_hook}.  The header is
     published in the uid registry (see {!of_uid}) before it is
     returned.
     @raise Failure if the registry's index space ({!uid_capacity}
@@ -155,6 +163,10 @@ val check_not_freed : string -> t -> unit
     [nil] always passes. *)
 
 val is_freed : t -> bool
+
+val is_live : t -> bool
+(** Whether the header is in the live state: neither retired nor
+    freed. *)
 
 val pp : Format.formatter -> t -> unit
 (** Debug printer: uid, state, nref, eras. *)

@@ -239,3 +239,270 @@ let suites =
       in
       [ ("dstruct." ^ sname, cases) ])
     structures
+
+(* --- whole-operation allocation gates -------------------------------- *)
+
+(* The configuration and scheme perfbench's map-churn runs. *)
+module Packed_map = Dstruct.Hash_map.Make (Hyaline_core.Hyaline_s.Packed)
+module Packed_list = Dstruct.Harris_list.Make (Hyaline_core.Hyaline_s.Packed)
+
+let paper_cfg = Config.paper ~nthreads:3
+
+(* Minor words per call of [f i], over [n] calls made after [n] warm-up
+   calls.  [Gc.minor_words] returns an unboxed float, so the count is
+   exact. *)
+let words_per ~n f =
+  for i = 1 to n do
+    f i
+  done;
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    f i
+  done;
+  (Gc.minor_words () -. before) /. float n
+
+(* Each map op on tid 0 in a bracket of its own, as map-churn runs
+   them.  Top-level, so a measured loop builds no closure per op. *)
+module Op (M : Dstruct.Map_intf.S) = struct
+  let get m k =
+    M.enter m ~tid:0;
+    let r = M.get m ~tid:0 k in
+    M.leave m ~tid:0;
+    ignore (Sys.opaque_identity r)
+
+  let insert m k =
+    M.enter m ~tid:0;
+    ignore (M.insert m ~tid:0 k k : bool);
+    M.leave m ~tid:0
+
+  let remove m k =
+    M.enter m ~tid:0;
+    ignore (M.remove m ~tid:0 k : bool);
+    M.leave m ~tid:0
+end
+
+module Map_op = Op (Packed_map)
+module List_op = Op (Packed_list)
+
+let test_hashmap_op_words () =
+  let m = Packed_map.create ~cfg:paper_cfg () in
+  let keys = 1024 in
+  for k = 0 to keys - 1 do
+    Map_op.insert m k
+  done;
+  let hit = words_per ~n:10_000 (fun i -> Map_op.get m (i land (keys - 1))) in
+  let miss =
+    words_per ~n:10_000 (fun i -> Map_op.get m (keys + (i land (keys - 1))))
+  in
+  let pair =
+    words_per ~n:10_000 (fun i ->
+        let k = keys + (i land 4095) in
+        Map_op.insert m k;
+        Map_op.remove m k)
+  in
+  if Float.abs (hit -. 2.) > 0.01 then
+    Alcotest.failf "get hit allocates %.2f words, not its 2-word Some" hit;
+  if miss > 0.01 then Alcotest.failf "get miss allocates %.2f words" miss;
+  if pair > 24. then
+    Alcotest.failf "insert+remove pair allocates %.2f words (bound 24)" pair;
+  Packed_map.check m
+
+let test_list_miss_words () =
+  let l = Packed_list.create ~cfg:paper_cfg () in
+  for k = 0 to 63 do
+    List_op.insert l (2 * k)
+  done;
+  let miss =
+    words_per ~n:10_000 (fun i -> List_op.get l ((2 * (i land 63)) + 1))
+  in
+  if miss > 0.01 then Alcotest.failf "list get miss allocates %.2f words" miss
+
+(* --- pool recycling --------------------------------------------------- *)
+
+let gauge (type m) (module M : Dstruct.Map_intf.S with type t = m) (m : m) name
+    =
+  match List.assoc_opt name (M.gauges m) with
+  | Some v -> v
+  | None -> Alcotest.failf "no %s gauge" name
+
+(* One domain, 100k insert+remove pairs over map-churn's 16k keys, half
+   of them bound; the second 50k are measured.  A cache miss pops one
+   magazine, so a pair's allocation does not grow with the number of
+   free nodes (the whole-list exchange and splice-back the magazines
+   replaced cost 125 words a pair here), and recycling keeps the pool
+   from minting nodes beyond the live set and what Hyaline-S's batches
+   hold back. *)
+let test_pool_churn_recycles () =
+  let m = Packed_map.create ~cfg:paper_cfg () in
+  let keys = 16384 in
+  let rng = Prims.Rng.create ~seed:7 in
+  for _ = 1 to keys / 2 do
+    Map_op.insert m (Prims.Rng.below rng keys)
+  done;
+  let words =
+    words_per ~n:50_000 (fun _ ->
+        Map_op.insert m (Prims.Rng.below rng keys);
+        Map_op.remove m (Prims.Rng.below rng keys))
+  in
+  if words > 24. then
+    Alcotest.failf "insert+remove pair allocates %.1f words (bound 24)" words;
+  let created = gauge (module Packed_map) m "mpool_created" in
+  let live = gauge (module Packed_map) m "mpool_live" in
+  if created > live + 1024 then
+    Alcotest.failf "pool kept minting: %d nodes created for %d live" created
+      live;
+  Packed_map.check m
+
+(* Two domains churn while a third holds a bracket open (the stalled
+   reader), then the reader leaves and every tid flushes.  Every node
+   the churn unlinked must have gone back to the pool, so the nodes the
+   pool counts live are exactly the map's bindings.  A free hook that
+   was never bound leaks every retired node here. *)
+let test_pool_live_after_stall () =
+  let m = Packed_map.create ~cfg:paper_cfg () in
+  let keys = 4096 in
+  for k = 0 to (keys / 2) - 1 do
+    Packed_map.enter m ~tid:0;
+    ignore (Packed_map.insert m ~tid:0 (2 * k) k);
+    Packed_map.leave m ~tid:0
+  done;
+  let reader = 2 in
+  Packed_map.enter m ~tid:reader;
+  ignore (Packed_map.get m ~tid:reader 0);
+  let worker tid () =
+    let rng = Prims.Rng.create ~seed:(31 + tid) in
+    for _ = 1 to 20_000 do
+      let k = Prims.Rng.below rng keys in
+      Packed_map.enter m ~tid;
+      if Prims.Rng.below rng 2 = 0 then ignore (Packed_map.insert m ~tid k k)
+      else ignore (Packed_map.remove m ~tid k);
+      Packed_map.leave m ~tid
+    done
+  in
+  List.iter Domain.join (List.init 2 (fun tid -> Domain.spawn (worker tid)));
+  Packed_map.leave m ~tid:reader;
+  for tid = 0 to paper_cfg.nthreads - 1 do
+    Packed_map.flush m ~tid;
+    Packed_map.flush m ~tid
+  done;
+  let s = Stats.snapshot (Packed_map.stats m) in
+  Alcotest.(check int) "all retired blocks freed" s.Stats.retires s.Stats.frees;
+  Alcotest.(check int)
+    "mpool_live = map size" (Packed_map.size m)
+    (gauge (module Packed_map) m "mpool_live");
+  Packed_map.check m
+
+(* --- the end sentinel never shadows a key ----------------------------- *)
+
+let edge_keys = [ min_int; min_int + 1; -1; 0; 1; max_int - 1; max_int ]
+
+(* Every map op on each edge key in turn; [check] also walks the
+   order, which must admit [min_int] as a first key. *)
+let sentinel_edge_test (module M : Dstruct.Map_intf.S) () =
+  let m = M.create ~cfg:cfg_base () in
+  let op f =
+    M.enter m ~tid:0;
+    let r = f () in
+    M.leave m ~tid:0;
+    r
+  in
+  let get k = op (fun () -> M.get m ~tid:0 k) in
+  let opt = Alcotest.(option int) and bool = Alcotest.bool in
+  List.iter
+    (fun k ->
+      let name s = Printf.sprintf "%s %d" s k in
+      Alcotest.check opt (name "get absent") None (get k);
+      Alcotest.check bool (name "insert") true
+        (op (fun () -> M.insert m ~tid:0 k 1));
+      Alcotest.check bool (name "insert again") false
+        (op (fun () -> M.insert m ~tid:0 k 2));
+      Alcotest.check opt (name "get") (Some 1) (get k);
+      Alcotest.check bool (name "put present") false
+        (op (fun () -> M.put m ~tid:0 k 3));
+      Alcotest.check opt (name "get put") (Some 3) (get k);
+      Alcotest.check bool (name "remove") true
+        (op (fun () -> M.remove m ~tid:0 k));
+      Alcotest.check bool (name "remove again") false
+        (op (fun () -> M.remove m ~tid:0 k));
+      Alcotest.check opt (name "get removed") None (get k);
+      Alcotest.check bool (name "put absent") true
+        (op (fun () -> M.put m ~tid:0 k k));
+      M.check m)
+    edge_keys;
+  Alcotest.(check (list (pair int int))) "every edge key bound to itself"
+    (List.map (fun k -> (k, k)) edge_keys)
+    (M.to_sorted_list m)
+
+(* Lincheck-style churn over the edge keys only: three domains, short
+   histories, checked for linearizability.  The sentinel's header is
+   [Hdr.nil]: a retire or free of the sentinel would leave it not
+   live. *)
+let sentinel_churn_test (module M : Dstruct.Map_intf.S) () =
+  let cfg = { cfg_base with nthreads = 3 } in
+  let keys = Array.of_list edge_keys in
+  for seed = 1 to 8 do
+    let m = M.create ~cfg () in
+    let h = Lincheck.History.create () in
+    let worker tid () =
+      let rng = Prims.Rng.create ~seed:(seed + (7919 * tid)) in
+      for _ = 1 to 20 do
+        let k = keys.(Prims.Rng.below rng (Array.length keys)) in
+        let v = Prims.Rng.below rng 1000 in
+        let record op f = ignore (Lincheck.History.record h ~tid op f) in
+        M.enter m ~tid;
+        (match Prims.Rng.below rng 4 with
+        | 0 ->
+            record (Insert (k, v)) (fun () -> Bool (M.insert m ~tid k v))
+        | 1 -> record (Remove k) (fun () -> Bool (M.remove m ~tid k))
+        | 2 -> record (Get k) (fun () -> Opt (M.get m ~tid k))
+        | _ -> record (Put (k, v)) (fun () -> Bool (M.put m ~tid k v)));
+        M.leave m ~tid
+      done
+    in
+    List.iter Domain.join (List.init 3 (fun tid -> Domain.spawn (worker tid)));
+    Lincheck.History.check_exn (Lincheck.History.events h);
+    M.check m;
+    for tid = 0 to 2 do
+      M.flush m ~tid;
+      M.flush m ~tid
+    done;
+    Alcotest.(check bool) "sentinel header never retired" true
+      (Hdr.is_live Hdr.nil)
+  done
+
+let sentinel_maps : (string * (module Dstruct.Map_intf.S)) list =
+  [
+    ("hashmap/hyaline-s(packed)", (module Packed_map));
+    ("list/hyaline-s(packed)", (module Packed_list));
+    ("hashmap/hp", (module Dstruct.Hash_map.Make (Hp)));
+    ("list/ebr", (module Dstruct.Harris_list.Make (Ebr)));
+  ]
+
+let suites =
+  suites
+  @ [
+      ( "dstruct.alloc",
+        [
+          Alcotest.test_case "hashmap get/insert/remove words" `Quick
+            test_hashmap_op_words;
+          Alcotest.test_case "list get miss allocation-free" `Quick
+            test_list_miss_words;
+        ] );
+      ( "dstruct.pool",
+        [
+          Alcotest.test_case "one-domain churn recycles" `Quick
+            test_pool_churn_recycles;
+          Alcotest.test_case "live = size after a stall" `Quick
+            test_pool_live_after_stall;
+        ] );
+      ( "dstruct.sentinel",
+        List.concat_map
+          (fun (name, map) ->
+            [
+              Alcotest.test_case ("keys: " ^ name) `Quick
+                (sentinel_edge_test map);
+              Alcotest.test_case ("churn: " ^ name) `Quick
+                (sentinel_churn_test map);
+            ])
+          sentinel_maps );
+    ]

@@ -111,25 +111,26 @@ let test_concurrent_churn () =
   Alcotest.(check int) "allocs = frees" s.Mpool.allocs s.Mpool.frees;
   Alcotest.(check bool) "created <= allocs" true (s.created <= s.allocs)
 
-let test_splice_accounting () =
-  (* Spilling is a whole-cache splice: with local_cache = 4 the fifth
-     free pushes all five cached nodes to the shared list in one CAS,
-     and the shared-length gauge tracks it exactly at quiescence. *)
+let test_magazine_accounting () =
+  (* Spilling pushes the whole cache as one magazine: with local_cache
+     = 4 the fifth free pushes all five cached nodes in one CAS, a miss
+     pops one magazine, and the shared-length gauge (the top
+     magazine's running total) is exact at quiescence. *)
   let p = Pool.create ~local_cache:4 () in
   let nodes = List.init 10 (fun _ -> Pool.alloc p) in
   Alcotest.(check int) "nothing shared yet" 0 (Pool.shared_free_length p);
   List.iter (Pool.free p) nodes;
-  Alcotest.(check int) "two spills of five" 10 (Pool.shared_free_length p);
+  Alcotest.(check int) "two magazines of five" 10 (Pool.shared_free_length p);
   let again = List.init 10 (fun _ -> Pool.alloc p) in
   Alcotest.(check int) "shared drained" 0 (Pool.shared_free_length p);
   Alcotest.(check int) "no fresh creation" 10 (Pool.stats p).created;
   ignore again
 
-let test_exchange_refill () =
-  (* The cache-miss path refills by exchanging the whole shared list:
-     one domain manufactures 20 nodes and spills them all, then a
-     second domain's single allocation must grab [1 + local_cache]
-     nodes in one go (no fresh creation) and splice the surplus back.
+let test_magazine_refill () =
+  (* The cache-miss path pops one magazine: one domain manufactures 20
+     nodes and spills them all as four magazines of [1 + local_cache],
+     then a second domain's single allocation must take one magazine
+     (no fresh creation) and leave the other three on the stack.
      Domains run sequentially so the accounting is exact. *)
   let p = Pool.create ~local_cache:4 () in
   Domain.join
@@ -149,19 +150,19 @@ let test_exchange_refill () =
            ignore (Pool.alloc p)
          done;
          Alcotest.(check int)
-           "cache hits leave the shared list alone" 15
+           "cache hits leave the shared stack alone" 15
            (Pool.shared_free_length p);
          ignore (Pool.alloc p);
          Alcotest.(check int)
-           "next miss refills again" 10
+           "next miss pops the next magazine" 10
            (Pool.shared_free_length p)));
   Alcotest.(check int) "no fresh creation on the refill path" 20
     (Pool.stats p).created
 
 let test_refill_under_contention () =
   (* Two domains alternating miss-heavy allocation against a shared
-     pile: refills (exchange) race refills and splices (CAS); the
-     books must balance at quiescence and nothing may be lost or
+     pile: pops race pops and pushes on the magazine stack; the books
+     must balance at quiescence and nothing may be lost or
      duplicated. *)
   let p = Pool.create ~local_cache:2 () in
   Domain.join
@@ -318,9 +319,10 @@ let suites =
         Alcotest.test_case "local cache spills" `Quick test_local_cache_spills;
         Alcotest.test_case "live counter" `Quick test_live_counter;
         Alcotest.test_case "concurrent churn" `Slow test_concurrent_churn;
-        Alcotest.test_case "splice accounting" `Quick test_splice_accounting;
-        Alcotest.test_case "exchange refill, two domains" `Quick
-          test_exchange_refill;
+        Alcotest.test_case "magazine accounting" `Quick
+          test_magazine_accounting;
+        Alcotest.test_case "magazine refill, two domains" `Quick
+          test_magazine_refill;
         Alcotest.test_case "refill under contention" `Slow
           test_refill_under_contention;
         Alcotest.test_case "injected alloc failures" `Quick
