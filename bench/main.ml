@@ -95,34 +95,6 @@ let lfrc_read_cost =
       | Some b -> Smr.Lfrc.release b
       | None -> ())
 
-(* ------------------------------------------------------------------ *)
-(* Service-layer costs: one wire round-trip of the codec (encode +
-   decode both directions, no transport) and one send/drain cycle of
-   the bounded mailbox (the control-plane overhead a request pays on
-   top of the map operation). *)
-
-let codec_roundtrip_cost =
-  let buf = Buffer.create 64 in
-  (fun () ->
-      Buffer.clear buf;
-      Service.Codec.encode_request buf
-        (Service.Codec.Cas { key = 7; expected = 1; desired = 2 });
-      let b = Buffer.to_bytes buf in
-      let payload = Bytes.sub b 4 (Bytes.length b - 4) in
-      ignore (Service.Codec.request_of_payload payload);
-      Buffer.clear buf;
-      Service.Codec.encode_reply buf Service.Codec.Cas_ok;
-      let b = Buffer.to_bytes buf in
-      let payload = Bytes.sub b 4 (Bytes.length b - 4) in
-      ignore (Service.Codec.reply_of_payload payload))
-
-let mailbox_cost (module T : Smr.Tracker.S) =
-  let module MB = Service.Mailbox.Make (T) in
-  let mb = MB.create ~cfg:cfg_bench ~capacity:64 () in
-  (fun () ->
-      ignore (MB.try_send mb ~tid:0 42);
-      ignore (MB.drain mb ~tid:1 ~max:1))
-
 (* Chaos hook overhead with chaos off — the zero-cost-when-disabled
    claim for Mpool.alloc, which pays one uncontended atomic load on
    the (empty) OOM budget (plain alloc/free has no hook-free baseline
@@ -144,68 +116,13 @@ let conn_write_frame_cost =
       Service.Codec.encode_reply out (Service.Codec.Value 7);
       Service.Conn.write_frame fd out)
 
-(* lib/replica durability costs: the checksum, one record encode/
-   decode, the WAL write path at both batching extremes (a 1-record
-   group commit pays the whole sync; a 64-record commit amortizes it),
-   and the ack-tap pair — a shard call with the hook disabled (one
-   physical-equality check) vs the same call group-committing to the
-   deterministic mem store. *)
+(* lib/replica: the record checksum.  The WAL group-commit and
+   shard-call costs are per-layer metrics of perfbench's traced run
+   (wal.sync_p50_us, shard.wait_p50_us and their kin). *)
 
 let crc32_cost =
   let s = String.init 64 Char.chr in
   fun () -> ignore (Service.Codec.crc32 s ~pos:0 ~len:64)
-
-let wal_record_roundtrip_cost =
-  let buf = Buffer.create 64 in
-  fun () ->
-    Buffer.clear buf;
-    Service.Codec.encode_wal_record buf ~seq:123456
-      (Service.Codec.Set { key = 7; value = 70 });
-    let b = Buffer.to_bytes buf in
-    let payload = Bytes.sub b 4 (Bytes.length b - 4) in
-    ignore (Service.Codec.decode_wal_record payload)
-
-(* Keep the log bounded under the calibrated iteration counts: drop
-   the committed prefix (and its dead segments) every few thousand
-   records, like a primary snapshotting would. *)
-let wal_trim w =
-  let c = Replica.Wal.committed_seq w in
-  if c land 4095 = 0 then Replica.Wal.truncate_upto w ~seq:c
-
-let wal_commit_cost ~batch =
-  let store, _ = Replica.Store.Mem.create () in
-  let w, _ = Replica.Wal.open_ ~store ~shard:0 () in
-  fun () ->
-    for k = 1 to batch do
-      ignore (Replica.Wal.append w (Service.Codec.Set { key = k; value = k }))
-    done;
-    Replica.Wal.commit w;
-    wal_trim w
-
-let shard_call_hook_off_cost =
-  let svc =
-    Service.Shard.create
-      ~structure:(Workload.Registry.find_structure "hashmap")
-      ~scheme:(Workload.Registry.find_scheme "hyaline")
-      { Service.Shard.default_config with Service.Shard.shards = 1; clients = 1 }
-  in
-  fun () ->
-    ignore (Service.Shard.call svc ~tid:0 (Service.Codec.Put { key = 7; value = 1 }))
-
-let shard_call_mem_wal_cost =
-  let store, _ = Replica.Store.Mem.create () in
-  let p, _ =
-    Replica.Primary.create
-      ~structure:(Workload.Registry.find_structure "hashmap")
-      ~scheme:(Workload.Registry.find_scheme "hyaline")
-      { Service.Shard.default_config with Service.Shard.shards = 1; clients = 1 }
-      ~store ()
-  in
-  fun () ->
-    ignore
-      (Service.Shard.call p.Replica.Primary.svc ~tid:0
-         (Service.Codec.Put { key = 7; value = 1 }));
-    wal_trim p.Replica.Primary.wals.(0)
 
 (* ------------------------------------------------------------------ *)
 (* lib/cluster placement costs: the per-request ring hash, the full
@@ -303,9 +220,8 @@ let unix_frame_pass_cost =
     | _ -> failwith "bench: sock decode"
 
 (* The shared streaming decoder alone, over an in-memory source — the
-   unix transport's read path after this PR moved it onto
-   [Codec.frame_reader]; pairs with codec-roundtrip as the
-   no-regression evidence for the socket path. *)
+   unix transport's read path through [Codec.frame_reader]; perfbench's
+   traced run prices the codec itself (codec.encode_ns/decode_ns). *)
 let frame_decode_cost =
   let frame = bench_frame () in
   let len = Bytes.length frame in
@@ -323,39 +239,6 @@ let frame_decode_cost =
     | Service.Codec.Frame _ -> ()
     | _ -> failwith "bench: decode"
 
-(* What the serving engine pays to answer a GET inline: enter the leased
-   zero-copy bracket, read the live map, leave.  The shm transport's
-   replacement for a whole mailbox round trip. *)
-let zc_get_inline_cost =
-  let svc =
-    lazy
-      (let svc =
-         Service.Shard.create
-           ~structure:(Workload.Registry.find_structure "hashmap")
-           ~scheme:(Workload.Registry.find_scheme "hyaline")
-           {
-             Service.Shard.default_config with
-             Service.Shard.shards = 1;
-             clients = 1;
-             zc_readers = 1;
-           }
-       in
-       ignore
-         (Service.Shard.call svc ~tid:0
-            (Service.Codec.Put { key = 7; value = 70 }));
-       let slot =
-         match svc.Service.Shard.zc_lease () with
-         | Some s -> s
-         | None -> failwith "bench: no zc slot"
-       in
-       (svc, slot))
-  in
-  fun () ->
-    let svc, slot = Lazy.force svc in
-    svc.Service.Shard.zc_enter ~slot;
-    ignore (svc.Service.Shard.zc_get ~slot 7);
-    svc.Service.Shard.zc_leave ~slot
-
 (* Latency-distribution rows for the same two frame passes: exact
    percentiles over sorted per-op samples, each sample the per-op mean
    of 512 consecutive ops.  Batching serves two masters: the only
@@ -371,10 +254,11 @@ let zc_get_inline_cost =
    so the tail reflects the transport itself rather than the scheduler
    — the form of the shm-vs-unix comparison that is stable in CI;
    scheduler-inclusive end-to-end RTTs come from
-   [experiments serve --transport]. *)
-let sample_percentiles_paired fn_a fn_b =
-  let k = 512 in
-  let n = 3_000 in
+   [experiments serve --transport].  The batch size [k], sample count
+   [n] and warm-up shrink for ops that cost tens of microseconds rather
+   than hundreds of nanoseconds. *)
+let sample_percentiles_paired ?(k = 512) ?(n = 3_000) ?(warmup = 10_000) fn_a
+    fn_b =
   let sa = Array.make n 0.0 and sb = Array.make n 0.0 in
   let window s i fn =
     let t0 = Unix.gettimeofday () in
@@ -383,7 +267,7 @@ let sample_percentiles_paired fn_a fn_b =
     done;
     s.(i) <- (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int k
   in
-  for _ = 1 to 10_000 do
+  for _ = 1 to warmup do
     fn_a ();
     fn_b ()
   done;
@@ -446,143 +330,9 @@ let measure fn =
   !best *. 1e9 /. float_of_int n
 
 (* ------------------------------------------------------------------ *)
-(* Incremental-snapshot amplification: the cost of publishing one
-   shard snapshot as a function of keyspace size and dirty-set size.
-   Single-shot wall-clock rows (best of 3), not [measure] rows: a
-   large-keyspace traversal is milliseconds — far above timer
-   granularity — and each delta consumes the dirty set it measures,
-   so a calibrated batch loop would time an empty set.  Every trial
-   re-dirties the same keys through acked shard calls *outside* the
-   timed region, so full and delta snapshot the identical state. *)
-
-let time_once f =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  (Unix.gettimeofday () -. t0) *. 1e9
-
-let size_label n =
-  if n >= 1_000_000 then Printf.sprintf "%dM" (n / 1_000_000)
-  else Printf.sprintf "%dk" (n / 1_000)
-
-let with_bench_dir tag f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "bench-%s-%d" tag (Unix.getpid ()))
-  in
-  (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun n -> try Sys.remove (Filename.concat dir n) with _ -> ())
-        (Sys.readdir dir);
-      try Unix.rmdir dir with _ -> ())
-    (fun () -> f dir)
-
-(* The [Wal.commit] group-commit loop synced by fsync(2) on the fs
-   store: one record per commit, so every row pays a whole sync. *)
-let wal_commit_sync_row ~name store =
-  let w, _ = Replica.Wal.open_ ~store ~shard:0 () in
-  let k = ref 0 in
-  let ns =
-    measure (fun () ->
-        incr k;
-        ignore (Replica.Wal.append w (Service.Codec.Set { key = !k; value = !k }));
-        Replica.Wal.commit w;
-        wal_trim w)
-  in
-  Replica.Wal.close w;
-  (name, ns)
-
-let snapshot_rows () =
-  let structure = Workload.Registry.find_structure "hashmap" in
-  let scheme = Workload.Registry.find_scheme "hyaline" in
-  let rows = ref [] in
-  List.iter
-    (fun keys ->
-      let store, _ = Replica.Store.Mem.create () in
-      let p, _ =
-        Replica.Primary.create ~structure ~scheme
-          {
-            Service.Shard.default_config with
-            Service.Shard.shards = 1;
-            clients = 1;
-          }
-          ~store ~delta:true ~dirty_cap:(1 lsl 16) ()
-      in
-      let svc = p.Replica.Primary.svc in
-      let put k v =
-        ignore
-          (Service.Shard.call svc ~tid:0
-             (Service.Codec.Put { key = k; value = v }))
-      in
-      for k = 1 to keys do
-        put k k
-      done;
-      (* Publish the base first: truncates the prefill WAL and arms a
-         fresh dirty set for the delta trials. *)
-      ignore (Replica.Primary.snapshot_shard p ~shard:0 ~mode:`Full ());
-      if keys = 100_000 then begin
-        (* The streaming strict loader, over the base just published. *)
-        let load_ns = ref infinity in
-        for _ = 1 to 3 do
-          let d =
-            time_once (fun () ->
-                ignore (Replica.Snapshot.load_latest ~store ~shard:0))
-          in
-          if d < !load_ns then load_ns := d
-        done;
-        rows :=
-          ( Printf.sprintf "table1/replica/snapshot-load/%s" (size_label keys),
-            !load_ns )
-          :: !rows
-      end;
-      List.iter
-        (fun dirty ->
-          let stride = max 1 (keys / dirty) in
-          let redirty salt =
-            for i = 0 to dirty - 1 do
-              let k = 1 + (i * stride mod keys) in
-              put k (k + salt)
-            done
-          in
-          let timed_snap mode =
-            let best = ref infinity in
-            for trial = 1 to 3 do
-              redirty trial;
-              let d =
-                time_once (fun () ->
-                    ignore
-                      (Replica.Primary.snapshot_shard p ~shard:0
-                         ~truncate:false ~mode ()))
-              in
-              if d < !best then best := d
-            done;
-            !best
-          in
-          let delta_ns = timed_snap `Delta in
-          let full_ns = timed_snap `Full in
-          let tag m =
-            Printf.sprintf "table1/replica/snapshot-%s/%s@%sdirty" m
-              (size_label keys) (size_label dirty)
-          in
-          rows := (tag "delta", delta_ns) :: (tag "full", full_ns) :: !rows)
-        (List.filter (fun d -> d <= keys) [ 1_000; 10_000 ]);
-      Replica.Primary.stop p)
-    [ 10_000; 100_000; 1_000_000 ];
-  let sync_rows =
-    [
-      with_bench_dir "walfsync" (fun dir ->
-          wal_commit_sync_row ~name:"table1/replica/wal-commit-fsync"
-            (Replica.Store.fs ~dir));
-    ]
-  in
-  List.rev !rows @ sync_rows
-
-(* ------------------------------------------------------------------ *)
 (* lib/shmalloc: the shared-memory value arena.  The class rows time
    the two halves of a block's life separately — phase-timed fills and
-   drains, snapshot_rows-style, because a steady-state [measure] thunk
+   drains, best of 3 trials, because a steady-state [measure] thunk
    can only ever see alloc+free blended.  The free row deliberately
    includes the amortized flush (batch padding + insert pass): that is
    the real retire cost the daemon pays, not just the stamp bump. *)
@@ -704,7 +454,9 @@ let shmalloc_overhead_rows () =
    rings for a 1 KiB value, answered by reference (the serving engine
    mints a [Val_ref] from one atomic map read and the client copies
    out of its own mapping) vs materialized daemon-side through the
-   mailbox.  BENCH JSON pairs these rows for the CI ratio gate. *)
+   mailbox.  The two clients alternate 16-call batches in one paired
+   pass, so steal and scheduler ticks land on both alike; CI gates the
+   ratio of the p50 rows at 2x per size. *)
 let serve_zc_rows () =
   let path = shmalloc_tmp "zc-serve" in
   Service.Shm_conn.claim_listen_path path;
@@ -749,17 +501,14 @@ let serve_zc_rows () =
          ignore
            (Service.Shm_conn.call cref
               (Service.Codec.Putb { key = 1; value = blob }));
-         let ref_ns =
-           measure (fun () ->
-               ignore (Service.Shm_conn.call cref (Service.Codec.Get 1)))
-         in
-         let copy_ns =
-           measure (fun () ->
-               ignore (Service.Shm_conn.call ccopy (Service.Codec.Get 1)))
+         let get c () = ignore (Service.Shm_conn.call c (Service.Codec.Get 1)) in
+         let (ref_p50, _), (copy_p50, _) =
+           sample_percentiles_paired ~k:16 ~n:300 ~warmup:500 (get cref)
+             (get ccopy)
          in
          [
-           (Printf.sprintf "serve/zc/ref-get/%dB" n, ref_ns);
-           (Printf.sprintf "serve/zc/copy-get/%dB" n, copy_ns);
+           (Printf.sprintf "serve/zc/ref-get-p50/%dB" n, ref_p50);
+           (Printf.sprintf "serve/zc/copy-get-p50/%dB" n, copy_p50);
          ])
 
 let shmalloc_rows () =
@@ -772,18 +521,9 @@ let microbenches () =
   @ [
       ("table1/read-cost/LFRC", lfrc_read_cost);
       ("table1/transparency/plain-read", plain_read_cost);
-      ("table1/service/codec-roundtrip", codec_roundtrip_cost);
-    ]
-  @ scheme_rows "service/mailbox-cycle" mailbox_cost
-  @ [
       ("table1/chaos/mpool-alloc-hook-off", mpool_alloc_disabled_hook_cost);
       ("table1/chaos/conn-write-frame-baseline", conn_write_frame_cost);
       ("table1/replica/crc32-64B", crc32_cost);
-      ("table1/replica/wal-record-roundtrip", wal_record_roundtrip_cost);
-      ("table1/replica/wal-commit-1rec", wal_commit_cost ~batch:1);
-      ("table1/replica/wal-commit-64rec", wal_commit_cost ~batch:64);
-      ("table1/replica/shard-call-hook-off", shard_call_hook_off_cost);
-      ("table1/replica/shard-call-mem-wal", shard_call_mem_wal_cost);
       ("cluster/ring/slot-of-key", ring_slot_cost);
       ("cluster/ring/assign-64s-3n", ring_assign_cost);
       ("cluster/node/redirect-check", node_redirect_cost);
@@ -792,7 +532,6 @@ let microbenches () =
       ("serve/transport/frame-pass/shm-ring", ring_frame_pass_cost);
       ("serve/transport/frame-pass/unix-socketpair", unix_frame_pass_cost);
       ("serve/transport/frame-decode/shared-reader", frame_decode_cost);
-      ("serve/transport/zc-get-inline", zc_get_inline_cost);
     ]
 
 (* Machine-readable Table 1 rows ([BENCH_JSON=path] or [--json path]):
@@ -828,13 +567,10 @@ let write_json path rows =
   close_out oc;
   Format.printf "(wrote %d JSON rows to %s)@.@." (List.length rows) path
 
-let run_microbenches ?json ~parts () =
+let run_microbenches ?json () =
   let rows =
-    (if List.mem `Table1 parts then
-       (microbenches () |> List.map (fun (name, fn) -> (name, measure fn)))
-       @ percentile_rows () @ shmalloc_rows ()
-     else [])
-    @ (if List.mem `Snapshots parts then snapshot_rows () else [])
+    (microbenches () |> List.map (fun (name, fn) -> (name, measure fn)))
+    @ percentile_rows () @ shmalloc_rows ()
     |> List.sort compare
   in
   Format.printf "## Table 1 — measured per-operation costs (ns/op)@.";
@@ -911,9 +647,8 @@ let run_figures () =
     structures
 
 (* CLI: [--json PATH] (or BENCH_JSON=PATH) writes the Table-1 rows as
-   JSON; [--only table1|snapshots|figures|all] restricts which part
-   runs, so CI can smoke-test the microbenchmarks (or regenerate just
-   the snapshot-amplification rows) without paying for the figure
+   JSON; [--only table1|figures|all] restricts which part runs, so CI
+   can smoke-test the microbenchmarks without paying for the figure
    suite. *)
 let () =
   let json = ref (Sys.getenv_opt "BENCH_JSON") in
@@ -926,20 +661,18 @@ let () =
     | "--only" :: part :: rest ->
         List.iter
           (function
-            | "table1" | "snapshots" | "figures" | "all" -> ()
+            | "table1" | "figures" | "all" -> ()
             | p ->
                 prerr_endline
                   ("bench: unknown --only part " ^ p
-                 ^ " (expected table1|snapshots|figures|all, \
-                    comma-separable)");
+                 ^ " (expected table1|figures|all, comma-separable)");
                 exit 2)
           (String.split_on_char ',' part);
         only := part;
         parse rest
     | arg :: _ ->
         prerr_endline ("bench: unknown argument " ^ arg);
-        prerr_endline
-          "usage: bench [--json PATH] [--only table1|snapshots|figures|all]";
+        prerr_endline "usage: bench [--json PATH] [--only table1|figures|all]";
         exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
@@ -948,9 +681,5 @@ let () =
      EXPERIMENTS.md)@.@.";
   let picked = String.split_on_char ',' !only in
   let has p = List.mem p picked || List.mem "all" picked in
-  let parts =
-    (if has "table1" then [ `Table1 ] else [])
-    @ if has "snapshots" then [ `Snapshots ] else []
-  in
-  if parts <> [] then run_microbenches ?json:!json ~parts ();
+  if has "table1" then run_microbenches ?json:!json ();
   if has "figures" then run_figures ()

@@ -652,17 +652,51 @@ let run_serve_transport ~sc ~ds ~schemes ~shards ~transport ~mixname
     schemes;
   Format.printf "@."
 
-(* serve --smoke: the CI gate for the shm transport.
-   1. Roundtrip identity — the same seeded request stream through a
-      unix-socket client and an shm client against identically-built
-      services, and through a unix client against a service with no
-      zero-copy slot (every GET routed), must produce byte-identical
-      reply sequences (one codec, two wires, two read paths).
-   2. Stalled zero-copy reader — a client parks inside its
-      enter/leave bracket while writers churn; the robust scheme keeps
-      the unreclaimed backlog bounded, EBR pins everything retired
-      since the stall.  The bracket is the isolation boundary the shm
-      design leans on, so its robustness is a gate, not a figure. *)
+(* ------------------------------------------------------------------ *)
+(* The one reporter behind every --smoke gate: failures accumulate,
+   and [finish] prints them and exits 1, or prints the ok line. *)
+
+type report = { tag : string; mutable problems : string list }
+
+let report tag = { tag; problems = [] }
+let note r = Option.iter (fun m -> r.problems <- m :: r.problems)
+let check r c msg = if not c then note r (Some msg)
+let fail r fmt = Printf.ksprintf (fun m -> note r (Some m)) fmt
+
+(* Every stalled-reader verdict goes through [Stalled.judge]. *)
+let judge_stalled r ~what ~slack ~bound rows =
+  List.iter
+    (fun row ->
+      Format.printf "%s: %s backlog %s@." r.tag what (Stalled.to_string row);
+      note r (Stalled.judge ~slack ~bound row))
+    rows
+
+let finish r ~ok =
+  if r.problems <> [] then begin
+    List.iter
+      (fun m -> Format.eprintf "%s FAILED: %s@." r.tag m)
+      (List.rev r.problems);
+    exit 1
+  end
+  else Option.iter (fun m -> Format.printf "%s ok: %s@." r.tag m) ok
+
+(* Where two reply traces first differ. *)
+let diverge a b =
+  let rec go i xs ys =
+    match (xs, ys) with
+    | x :: _, y :: _ when x <> y -> Printf.sprintf "op %d: %s vs %s" i x y
+    | _ :: xs, _ :: ys -> go (i + 1) xs ys
+    | _ -> "length mismatch"
+  in
+  go 0 a b
+
+(* serve --smoke: the CI gate for the shm transport.  The same seeded
+   request stream through a unix-socket client and an shm client
+   against identically-built services, and through a unix client
+   against a service with no zero-copy slot (every GET routed), must
+   produce byte-identical reply sequences (one codec, two wires, two
+   read paths).  The stalled zero-copy reader is a tier-1 case
+   ([shm.zerocopy]), judged over every registry scheme. *)
 
 let smoke_reply_trace kind ~path stream =
   let call, close_conn = transport_connect kind ~path in
@@ -672,49 +706,12 @@ let smoke_reply_trace kind ~path stream =
   close_conn ();
   replies
 
-let smoke_stalled_backlog ~scheme_name =
-  let svc =
-    Service.Shard.create
-      ~structure:(Registry.find_structure "hashmap")
-      ~scheme:(Registry.find_scheme scheme_name)
-      {
-        Service.Shard.default_config with
-        Service.Shard.shards = 1;
-        clients = 2;
-        zc_readers = 1;
-      }
-  in
-  Fun.protect ~finally:(fun () -> svc.Service.Shard.stop ())
-  @@ fun () ->
-  match Service.Conn.Zerocopy.connect svc ~tid:0 with
-  | None -> failwith "zc slot unavailable"
-  | Some zc ->
-      Fun.protect ~finally:(fun () -> Service.Conn.Zerocopy.close zc)
-      @@ fun () ->
-      Service.Conn.Zerocopy.enter zc;
-      let lc = Service.Conn.Loopback.connect svc ~tid:1 in
-      for i = 0 to 4999 do
-        ignore
-          (Service.Conn.Loopback.call lc
-             (Service.Codec.Put { key = i land 31; value = i }));
-        ignore (Service.Conn.Loopback.call lc (Service.Codec.Del (i land 31)))
-      done;
-      let backlog =
-        List.fold_left
-          (fun acc st -> acc + Smr.Stats.unreclaimed st)
-          0
-          (svc.Service.Shard.data_stats ())
-      in
-      Service.Conn.Zerocopy.leave zc;
-      backlog
-
 let run_serve_smoke () =
-  let problems = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
-  (* 1: roundtrip identity, same seed: unix and shm, both answering
-     GETs inline through a zero-copy slot, and unix with no slot, so
-     every GET is routed.  Three identical traces prove the
-     bracketed-read path and the routed path give the same answers. *)
+  let verdict = report "serve smoke" in
+  (* Both unix and shm answer GETs inline through a zero-copy slot;
+     the second unix run has no slot, so every GET is routed.  Three
+     identical traces prove the bracketed-read path and the routed
+     path give the same answers. *)
   let mk_svc ~zc_readers =
     Service.Shard.create
       ~structure:(Registry.find_structure "hashmap")
@@ -736,63 +733,32 @@ let run_serve_smoke () =
     let svc = mk_svc ~zc_readers in
     let path = transport_path ("smoke." ^ kind) in
     let stop_server = transport_serve kind svc ~path in
-    let r = smoke_reply_trace kind ~path stream in
+    let replies = smoke_reply_trace kind ~path stream in
     stop_server ();
     svc.Service.Shard.stop ();
     let inline = Atomic.get svc.Service.Shard.inline_gets in
     (* Otherwise the identity below would not cover the inline path. *)
     if zc_readers > 0 && inline = 0 then
-      fail "%s trace: no GET was answered inline" kind;
-    r
+      fail verdict "%s trace: no GET was answered inline" kind;
+    replies
   in
   let unix_replies = trace ~zc_readers:1 "unix" in
   let shm_replies = trace ~zc_readers:1 "shm" in
   let routed_replies = trace ~zc_readers:0 "unix" in
-  let diverge us ss =
-    let rec go i us ss =
-      match (us, ss) with
-      | u :: _, s :: _ when u <> s -> Printf.sprintf "op %d: %s vs %s" i u s
-      | _ :: us, _ :: ss -> go (i + 1) us ss
-      | _ -> "length mismatch"
-    in
-    go 0 us ss
-  in
   if unix_replies <> shm_replies then
-    fail "transport identity: unix and shm reply traces diverge (%s)"
+    fail verdict "transport identity: unix and shm reply traces diverge (%s)"
       (diverge unix_replies shm_replies)
   else if unix_replies <> routed_replies then
-    fail
+    fail verdict
       "transport identity: inline and routed unix reply traces diverge (%s)"
-      (diverge unix_replies routed_replies)
-  else
-    Format.printf
-      "serve smoke: %d-op seeded stream — unix, shm and routed unix reply \
-       traces identical@."
-      (List.length stream);
-  (* 2: stalled zero-copy reader. *)
-  let robust = smoke_stalled_backlog ~scheme_name:"hyalines" in
-  let ebr = smoke_stalled_backlog ~scheme_name:"ebr" in
-  Format.printf
-    "serve smoke: stalled zc reader over 10000 churn ops — hyalines backlog \
-     %d (%s), epoch backlog %d@."
-    robust
-    (if robust * 4 < ebr then "bounded" else "EXCEEDS")
-    ebr;
-  if robust * 4 >= ebr then
-    fail
-      "stalled zc reader: hyalines backlog %d not clearly bounded vs epoch \
-       %d"
-      robust ebr;
-  if !problems <> [] then begin
-    List.iter
-      (fun m -> Format.eprintf "serve smoke FAILED: %s@." m)
-      (List.rev !problems);
-    exit 1
-  end
-  else
-    Format.printf
-      "serve smoke ok: one codec over two wires answers identically, and a \
-       stalled zero-copy bracket pins only what the robust scheme bounds@."
+      (diverge unix_replies routed_replies);
+  finish verdict
+    ~ok:
+      (Some
+         (Printf.sprintf
+            "one codec over two wires answers a %d-op seeded stream \
+             identically, inline and routed"
+            (List.length stream)))
 
 (* serve --zc remote --smoke: the cross-process zero-copy CI gate.
    The arena-backed daemon answers GETs by reference ([Val_ref]) to
@@ -852,7 +818,11 @@ let zc_reply_trace ~negotiate ~tag stream =
     (fun req -> Service.Codec.reply_to_string (Service.Shm_conn.call c req))
     stream
 
-let zc_stalled_backlog ~policy =
+(* The stalled remote reader, sampled after [n] and [2n] put/del pairs
+   from a second connection.  The arena has no scheme module: its
+   [Handoff] policy is the Hyaline-S discipline (robust), [Epoch] the
+   EBR baseline (not). *)
+let zc_stalled_backlog ~policy ~n =
   zc_arena_server ~policy ~tag:("stall." ^ Shmalloc.Arena.policy_name policy)
   @@ fun ~path ~arena ->
   let c = Service.Shm_conn.connect ~path in
@@ -865,16 +835,25 @@ let zc_stalled_backlog ~policy =
      stalled mid-bracket. *)
   Service.Shm_conn.zc_hold c;
   let c2 = Service.Shm_conn.connect ~path in
-  for i = 1 to 5000 do
-    ignore
-      (Service.Shm_conn.call c2
-         (Service.Codec.Put { key = i land 31; value = i }));
-    ignore (Service.Shm_conn.call c2 (Service.Codec.Del (i land 31)))
-  done;
+  let churn () =
+    for i = 1 to n do
+      ignore
+        (Service.Shm_conn.call c2
+           (Service.Codec.Put { key = i land 31; value = i }));
+      ignore (Service.Shm_conn.call c2 (Service.Codec.Del (i land 31)))
+    done;
+    Shmalloc.Arena.unreclaimed arena
+  in
+  let at_n = churn () in
+  let at_2n = churn () in
   Service.Shm_conn.close c2;
-  let backlog = Shmalloc.Arena.unreclaimed arena in
   Service.Shm_conn.zc_release c;
-  backlog
+  {
+    Stalled.name = Shmalloc.Arena.policy_name policy;
+    robust = policy = Shmalloc.Arena.Handoff;
+    at_n;
+    at_2n;
+  }
 
 let zc_dead_client_drain () =
   zc_arena_server ~policy:Shmalloc.Arena.Handoff ~tag:"dead"
@@ -910,8 +889,7 @@ let zc_dead_client_drain () =
   (cleared, Shmalloc.Arena.unreclaimed arena)
 
 let run_serve_zc_smoke () =
-  let problems = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
+  let verdict = report "zc smoke" in
   let stream =
     Service.Loadgen.request_stream ~seed:4242 ~tid:0
       ~dist:(Keydist.uniform ~range:256)
@@ -933,69 +911,44 @@ let run_serve_zc_smoke () =
     in
     let path = transport_path "zc.heap" in
     let stop_server = transport_serve "shm" svc ~path in
-    let r = smoke_reply_trace "shm" ~path stream in
+    let replies = smoke_reply_trace "shm" ~path stream in
     stop_server ();
     svc.Service.Shard.stop ();
-    r
+    replies
   in
   let ref_replies = zc_reply_trace ~negotiate:true ~tag:"ref" stream in
   let copy_replies = zc_reply_trace ~negotiate:false ~tag:"copy" stream in
-  let diverge a b =
-    let rec go i xs ys =
-      match (xs, ys) with
-      | x :: _, y :: _ when x <> y -> Printf.sprintf "op %d: %s vs %s" i x y
-      | _ :: xs, _ :: ys -> go (i + 1) xs ys
-      | _ -> "length mismatch"
-    in
-    go 0 a b
-  in
   if ref_replies <> copy_replies then
-    fail "zc identity: by-reference and copy-path traces diverge (%s)"
+    fail verdict "zc identity: by-reference and copy-path traces diverge (%s)"
       (diverge ref_replies copy_replies)
   else if ref_replies <> heap_replies then
-    fail "zc identity: arena-backed and heap-backed traces diverge (%s)"
-      (diverge ref_replies heap_replies)
-  else
-    Format.printf
-      "zc smoke: %d-op seeded stream — by-reference, copy-path and \
-       heap-backed reply traces identical@."
-      (List.length stream);
-  (* 2: stalled remote reader, Handoff vs Epoch. *)
-  let robust = zc_stalled_backlog ~policy:Shmalloc.Arena.Handoff in
-  let ebr = zc_stalled_backlog ~policy:Shmalloc.Arena.Epoch in
-  Format.printf
-    "zc smoke: stalled remote reader over 10000 churn ops — handoff arena \
-     backlog %d (%s), epoch arena backlog %d@."
-    robust
-    (if robust * 4 < ebr then "bounded" else "EXCEEDS")
-    ebr;
-  if robust * 4 >= ebr then
-    fail "stalled remote reader: handoff backlog %d not clearly bounded vs \
-          epoch %d"
-      robust ebr;
+    fail verdict "zc identity: arena-backed and heap-backed traces diverge (%s)"
+      (diverge ref_replies heap_replies);
+  (* 2: stalled remote reader, Handoff vs Epoch, over 2 x 2500 pairs;
+     handoff must end under a quarter of the retirements behind the
+     stall. *)
+  let n = 2500 in
+  judge_stalled verdict ~what:"stalled remote reader"
+    ~slack:(Stalled.slack Smr.Config.default)
+    ~bound:(2 * n / 4)
+    (List.map
+       (fun policy -> zc_stalled_backlog ~policy ~n)
+       [ Shmalloc.Arena.Handoff; Shmalloc.Arena.Epoch ]);
   (* 3: confirmed-death sweep. *)
   let cleared, residue = zc_dead_client_drain () in
-  Format.printf
-    "zc smoke: dead client holding its bracket — slot %s, post-sweep \
-     backlog %d@."
-    (if cleared then "force-cleared" else "STILL PINNED")
-    residue;
-  if not cleared then fail "dead client's reservation slot never swept";
+  check verdict cleared "dead client's reservation slot never swept";
   if residue >= 64 then
-    fail "post-sweep arena backlog %d did not drain to the partial-batch \
-          floor"
+    fail verdict
+      "post-sweep arena backlog %d did not drain to the partial-batch floor"
       residue;
-  if !problems <> [] then begin
-    List.iter
-      (fun m -> Format.eprintf "zc smoke FAILED: %s@." m)
-      (List.rev !problems);
-    exit 1
-  end
-  else
-    Format.printf
-      "zc smoke ok: references answer byte-identically to copies, a stalled \
-       remote reader pins only what handoff bounds, and a dead client's \
-       reservation is swept@."
+  finish verdict
+    ~ok:
+      (Some
+         (Printf.sprintf
+            "%d-op stream answers identically by reference, by copy and \
+             from the heap; a stalled remote reader pins only what handoff \
+             bounds; a dead client's slot is swept (backlog %d)"
+            (List.length stream) residue))
 
 (* ------------------------------------------------------------------ *)
 (* chaos: the lib/chaos fault-injection matrix.  Everything printed to
@@ -1112,61 +1065,47 @@ let run_chaos ~ds ~schemes ~classes ~steps ~seed ~bound ~shards ~smoke ~plot =
   in
   if smoke then begin
     (* The CI gate: the fixed crash+oom+net plan, each scheme run
-       twice.  Replays must be byte-identical; the robust scheme must
-       keep its control-plane backlog bounded across the crash window
-       while EBR must not; the oracle must pass for both. *)
+       twice.  Replays must be byte-identical; each scheme must keep
+       its control-plane backlog within the bound across the crash
+       window exactly when its module declares it robust; the oracle
+       must pass for all. *)
     let plan = Chaos.Fault.smoke ~nshards:shards ~detect in
     Format.printf
       "## chaos --smoke (fixed plan: crash + oom + net, %d steps, detect \
        %d, bound %d, %s)@."
       plan.Chaos.Fault.steps detect bound structure.Registry.d_name;
     chaos_pp_header ();
-    let problems = ref [] in
-    let check c msg = if not c then problems := msg :: !problems in
-    let run name =
-      let t1, row1, r1 =
-        chaos_run_one ~cls:"smoke" ~scheme_name:name ~structure ~shards ~bound
-          plan
-      in
-      let t2, row2, _ =
-        chaos_run_one ~cls:"smoke" ~scheme_name:name ~structure ~shards ~bound
-          plan
-      in
-      check
-        (t1 = t2 && row1 = row2)
-        (name ^ ": replay of the same plan diverged");
-      chaos_emit "smoke" r1;
-      r1
-    in
-    let robust = run "hyalines" in
-    let crystalline = run "crystalline" in
-    let ebr = run "ebr" in
-    check
-      (robust.Chaos.Engine.r_mem_bounded = Some true)
-      "hyaline-s: ctl backlog exceeded the bound across the crash window";
-    check robust.Chaos.Engine.r_oracle.Chaos.Oracle.ok "hyaline-s: oracle failed";
-    check
-      (crystalline.Chaos.Engine.r_mem_bounded = Some true)
-      "crystalline: ctl backlog exceeded the bound across the crash window";
-    check crystalline.Chaos.Engine.r_oracle.Chaos.Oracle.ok
-      "crystalline: oracle failed";
-    check
-      (ebr.Chaos.Engine.r_mem_bounded = Some false)
-      "ebr: expected the abandoned bracket to pin the ctl backlog past the \
-       bound";
-    check ebr.Chaos.Engine.r_oracle.Chaos.Oracle.ok "ebr: oracle failed";
-    if !problems <> [] then begin
-      List.iter
-        (fun m -> Format.eprintf "chaos smoke FAILED: %s@." m)
-        (List.rev !problems);
-      exit 1
-    end
-    else
-      Format.printf
-        "chaos smoke ok: replays identical, %s + %s bounded + oracle pass, \
-         %s unbounded as expected@."
-        robust.Chaos.Engine.r_scheme crystalline.Chaos.Engine.r_scheme
-        ebr.Chaos.Engine.r_scheme
+    let verdict = report "chaos smoke" in
+    List.iter
+      (fun name ->
+        let t1, row1, r =
+          chaos_run_one ~cls:"smoke" ~scheme_name:name ~structure ~shards ~bound
+            plan
+        in
+        let t2, row2, _ =
+          chaos_run_one ~cls:"smoke" ~scheme_name:name ~structure ~shards ~bound
+            plan
+        in
+        check verdict
+          (t1 = t2 && row1 = row2)
+          (name ^ ": replay of the same plan diverged");
+        chaos_emit "smoke" r;
+        let name = r.Chaos.Engine.r_scheme in
+        (match r.Chaos.Engine.r_mem_bounded with
+        | None -> fail verdict "%s: the plan's crash was never detected" name
+        | Some bounded ->
+            note verdict
+              (Stalled.expect_bounded ~name
+                 ~robust:(Stalled.robust (Registry.find_scheme name))
+                 ~bounded));
+        check verdict r.Chaos.Engine.r_oracle.Chaos.Oracle.ok
+          (name ^ ": oracle failed"))
+      [ "hyalines"; "crystalline"; "ebr" ];
+    finish verdict
+      ~ok:
+        (Some
+           "replays identical, oracle pass, ctl backlog bounded exactly \
+            where the scheme is robust")
   end
   else
     List.iter
@@ -1283,101 +1222,41 @@ let rep_throughput ~scheme ~structure_name ~shards ~clients ~duration ~seed
   Replica.Primary.stop p;
   (off, on, fsyncs, fsync_p99)
 
-(* Phase B: hold a snapshot bracket open at the gate while fresh-key
-   put/del churn retires nodes in the same shard, then read the
-   shard's unreclaimed backlog BEFORE releasing the reader. *)
-let rep_snapshot_reader ~scheme ~structure_name ~shards ~churn =
-  let structure = Registry.find_structure structure_name in
-  let svc =
-    Service.Shard.create ~structure ~scheme
-      { Service.Shard.default_config with Service.Shard.shards; clients = 2 }
-  in
-  let prefill = ref 0 in
-  let k = ref 0 in
-  while !prefill < 64 do
-    if svc.Service.Shard.shard_of_key !k = 0 then begin
-      ignore
-        (Service.Shard.call svc ~tid:0
-           (Service.Codec.Put { key = !k; value = !k }));
-      incr prefill
-    end;
-    incr k
-  done;
-  let entered = Atomic.make false in
-  let release = Atomic.make false in
-  let gate i =
-    if i = 0 then begin
-      Atomic.set entered true;
-      while not (Atomic.get release) do
-        Domain.cpu_relax ()
-      done
-    end
-  in
-  let snap =
-    Domain.spawn (fun () -> svc.Service.Shard.snapshot ~shard:0 ~gate)
-  in
-  while not (Atomic.get entered) do
-    Domain.cpu_relax ()
-  done;
-  let kk = ref 1_000_000 in
-  let churned = ref 0 in
-  while !churned < churn do
-    if svc.Service.Shard.shard_of_key !kk = 0 then begin
-      ignore
-        (Service.Shard.call svc ~tid:0
-           (Service.Codec.Put { key = !kk; value = 1 }));
-      ignore (Service.Shard.call svc ~tid:0 (Service.Codec.Del !kk));
-      churned := !churned + 2
-    end;
-    incr kk
-  done;
-  let unr =
-    Smr.Stats.unreclaimed_of
-      (Smr.Stats.snapshot (List.nth (svc.Service.Shard.data_stats ()) 0))
-  in
-  Atomic.set release true;
-  ignore (Domain.join snap);
-  svc.Service.Shard.stop ();
-  unr
-
-(* Phase B': the same stalled adversary, holding a DELTA snapshot's
-   bracket open.  The write-set traversal takes the same tid-1 bracket
-   as the full fold, so a stalled delta reader must be exactly as
-   survivable: bounded under the robust schemes, a balloon under
-   EBR. *)
-let rep_stalled_delta_reader ~scheme ~structure_name ~shards ~churn =
+(* Phase B: the snapshot long-reader adversary.  A snapshot of shard
+   0 parks at its gate, holding its traversal bracket open, while
+   fresh-key put/del churn retires nodes in the same shard; the
+   shard's backlog is sampled after [churn] and [2 * churn] ops, before
+   the reader is released.  With [`Delta] the parked reader is inside
+   a dirty-set-driven delta traversal instead of a full sweep: it
+   takes the same bracket, so it must be exactly as survivable. *)
+let rep_parked_reader ~scheme ~structure_name ~shards ~churn ~mode =
   let structure = Registry.find_structure structure_name in
   let store, _ = Replica.Store.Mem.create () in
   let p, _ =
-    Replica.Primary.create ~structure ~scheme ~delta:true
+    Replica.Primary.create ~structure ~scheme ~delta:(mode = `Delta)
       { Service.Shard.default_config with Service.Shard.shards; clients = 2 }
       ~store ()
   in
   let svc = p.Replica.Primary.svc in
-  let prefill = ref 0 in
-  let k = ref 0 in
-  while !prefill < 64 do
-    if svc.Service.Shard.shard_of_key !k = 0 then begin
-      ignore
-        (Service.Shard.call svc ~tid:0
-           (Service.Codec.Put { key = !k; value = !k }));
-      incr prefill
-    end;
-    incr k
-  done;
-  ignore (Replica.Primary.snapshot_shard p ~shard:0 ~mode:`Full ());
-  (* Dirty a handful of shard-0 keys so the delta has a write set to
-     park in. *)
-  let dirtied = ref 0 in
-  let kd = ref 0 in
-  while !dirtied < 8 do
-    if svc.Service.Shard.shard_of_key !kd = 0 then begin
-      ignore
-        (Service.Shard.call svc ~tid:0 (Service.Codec.Put { key = !kd; value = 1 }));
-      incr dirtied
-    end;
-    incr kd
-  done;
+  let call req = ignore (Service.Shard.call svc ~tid:0 req) in
+  (* Apply [f] to the next [n] keys from [k] that live in shard 0. *)
+  let shard0 k n f =
+    let left = ref n in
+    while !left > 0 do
+      if svc.Service.Shard.shard_of_key !k = 0 then begin
+        f !k;
+        decr left
+      end;
+      incr k
+    done
+  in
+  shard0 (ref 0) 64 (fun k -> call (Service.Codec.Put { key = k; value = k }));
+  if mode = `Delta then begin
+    ignore (Replica.Primary.snapshot_shard p ~shard:0 ~mode:`Full ());
+    (* Dirty a handful of keys so the delta has a write set to park
+       in. *)
+    shard0 (ref 0) 8 (fun k -> call (Service.Codec.Put { key = k; value = 1 }))
+  end;
   let entered = Atomic.make false in
   let release = Atomic.make false in
   let gate i =
@@ -1390,32 +1269,25 @@ let rep_stalled_delta_reader ~scheme ~structure_name ~shards ~churn =
   in
   let snap =
     Domain.spawn (fun () ->
-        Replica.Primary.snapshot_shard p ~shard:0 ~gate ~truncate:false
-          ~mode:`Delta ())
+        Replica.Primary.snapshot_shard p ~shard:0 ~gate ~truncate:false ~mode ())
   in
   while not (Atomic.get entered) do
     Domain.cpu_relax ()
   done;
-  let kk = ref 2_000_000 in
-  let churned = ref 0 in
-  while !churned < churn do
-    if svc.Service.Shard.shard_of_key !kk = 0 then begin
-      ignore
-        (Service.Shard.call svc ~tid:0
-           (Service.Codec.Put { key = !kk; value = 1 }));
-      ignore (Service.Shard.call svc ~tid:0 (Service.Codec.Del !kk));
-      churned := !churned + 2
-    end;
-    incr kk
-  done;
-  let unr =
+  let kk = ref 1_000_000 in
+  let churn () =
+    shard0 kk (churn / 2) (fun k ->
+        call (Service.Codec.Put { key = k; value = 1 });
+        call (Service.Codec.Del k));
     Smr.Stats.unreclaimed_of
       (Smr.Stats.snapshot (List.nth (svc.Service.Shard.data_stats ()) 0))
   in
+  let at_n = churn () in
+  let at_2n = churn () in
   Atomic.set release true;
   ignore (Domain.join snap);
   Replica.Primary.stop p;
-  unr
+  Stalled.row scheme ~at_n ~at_2n
 
 (* Phase E: delta amplification.  A delta-tracking primary over a
    large key range with a small write set; the snapshot gate counts
@@ -1678,6 +1550,7 @@ let run_replicate ~sc ~ds ~schemes ~shards ~smoke ~plot ~snap_every ~delta =
   let duration = if smoke then 0.15 else Float.max 0.3 sc.Figures.duration in
   let churn = if smoke then 1500 else 4000 in
   let bound = churn / 4 in
+  let slack = Stalled.slack Service.Shard.default_config.Service.Shard.smr in
   let rounds = if smoke then 1200 else 3000 in
   Format.printf
     "## replicate (%s, %d shards, mem store, churn %d, %d acked rounds%s%s%s)@."
@@ -1685,8 +1558,8 @@ let run_replicate ~sc ~ds ~schemes ~shards ~smoke ~plot ~snap_every ~delta =
     (if delta then ", delta snapshots" else "")
     (if snap_every > 0 then Printf.sprintf ", snap-every %d" snap_every else "")
     (if smoke then ", smoke" else "");
-  let problems = ref [] in
-  let check c msg = if not c then problems := msg :: !problems in
+  let verdict = report (if smoke then "replicate smoke" else "replicate") in
+  let check = check verdict in
   (* Delta amplification is a property of the snapshot machinery, not
      of the reclamation scheme: measure it once, in snapshot-traversal
      gate calls (the unit both paths share), before the scheme loop. *)
@@ -1721,8 +1594,7 @@ let run_replicate ~sc ~ds ~schemes ~shards ~smoke ~plot ~snap_every ~delta =
   Format.printf "%-18s %8s %8s %7s %9s %12s %9s %8s %7s %6s %6s %3s@." "scheme"
     "off-Kops" "on-Kops" "fsyncs" "fsync-p99" "snap-max-unr" "delta-unr"
     "max-lag" "caught" "polls" "torn" "ok";
-  let snap_unr = ref [] in
-  let delta_unr = ref [] in
+  let parked = ref [] in
   let lag_series = ref [] in
   List.iter
     (fun scheme_name ->
@@ -1731,16 +1603,17 @@ let run_replicate ~sc ~ds ~schemes ~shards ~smoke ~plot ~snap_every ~delta =
         rep_throughput ~scheme ~structure_name ~shards ~clients ~duration ~seed
           ~delta
       in
-      let unr = rep_snapshot_reader ~scheme ~structure_name ~shards ~churn in
-      snap_unr := (scheme_name, unr) :: !snap_unr;
-      (* Same adversary, delta flavor: the parked reader is inside a
-         dirty-set-driven delta traversal instead of a full sweep. *)
-      let dunr =
-        if delta then
-          rep_stalled_delta_reader ~scheme ~structure_name ~shards ~churn
-        else 0
+      let snap =
+        rep_parked_reader ~scheme ~structure_name ~shards ~churn ~mode:`Full
       in
-      if delta then delta_unr := (scheme_name, dunr) :: !delta_unr;
+      let dsnap =
+        if delta then
+          Some
+            (rep_parked_reader ~scheme ~structure_name ~shards ~churn
+               ~mode:`Delta)
+        else None
+      in
+      parked := (snap, dsnap) :: !parked;
       let _lres, max_lag, apply_p99, converged, samples =
         rep_lag ~scheme ~structure_name ~shards ~clients ~duration ~seed ~delta
       in
@@ -1775,8 +1648,10 @@ let run_replicate ~sc ~ds ~schemes ~shards ~smoke ~plot ~snap_every ~delta =
         (on.Service.Loadgen.throughput /. 1e3)
         fsyncs
         (Plot.fmt_ns fsync_p99)
-        unr
-        (if delta then string_of_int dunr else "-")
+        snap.Stalled.at_2n
+        (match dsnap with
+        | Some d -> string_of_int d.Stalled.at_2n
+        | None -> "-")
         max_lag fo.fo_caught_up fo.fo_confirm_polls fo.fo_torn_bytes
         (if
            fo.fo_promoted_ok && fo.fo_recovered_ok && fo.fo_late_acks = 0
@@ -1794,10 +1669,18 @@ let run_replicate ~sc ~ds ~schemes ~shards ~smoke ~plot ~snap_every ~delta =
       rep_emit ~phase:"snapshot" ~scheme:scheme_name ~structure:structure_name
         ~shards
         ([
-           ("snap_max_unreclaimed", float_of_int unr);
+           ("snap_unreclaimed_at_n", float_of_int snap.Stalled.at_n);
+           ("snap_max_unreclaimed", float_of_int snap.Stalled.at_2n);
            ("bound", float_of_int bound);
          ]
-        @ if delta then [ ("delta_max_unreclaimed", float_of_int dunr) ] else []);
+        @
+        match dsnap with
+        | Some d ->
+            [
+              ("delta_unreclaimed_at_n", float_of_int d.Stalled.at_n);
+              ("delta_max_unreclaimed", float_of_int d.Stalled.at_2n);
+            ]
+        | None -> []);
       rep_emit ~phase:"lag" ~scheme:scheme_name ~structure:structure_name
         ~shards
         [
@@ -1819,56 +1702,14 @@ let run_replicate ~sc ~ds ~schemes ~shards ~smoke ~plot ~snap_every ~delta =
     schemes;
   Format.printf "@.";
   (* The robustness contrast: the snapshot reader is the paper's
-     stalled adversary wearing service clothes.  EBR must blow the
-     bound; every robust scheme (Hyaline-S family, Crystalline) must
-     stay under it. *)
-  let is_robust n =
-    let prefix p =
-      String.length n >= String.length p && String.sub n 0 (String.length p) = p
-    in
-    prefix "hyalines" || prefix "crystalline"
-  in
-  (match List.assoc_opt "ebr" !snap_unr with
-  | Some u ->
-      check (u > bound)
-        (Printf.sprintf
-           "ebr: snapshot reader pinned only %d nodes (bound %d) — expected \
-            unbounded growth"
-           u bound)
-  | None -> if smoke then check false "smoke needs ebr in --schemes");
-  (match List.filter (fun (n, _) -> is_robust n) !snap_unr with
-  | [] ->
-      if smoke then
-        check false "smoke needs a robust scheme (hyalines/crystalline) in \
-                     --schemes"
-  | robusts ->
-      List.iter
-        (fun (n, u) ->
-          check (u <= bound)
-            (Printf.sprintf
-               "%s: snapshot-reader backlog %d exceeded the bound %d" n u
-               bound))
-        robusts);
-  (* The same contrast must survive the new read shape: a reader
-     stalled inside a DELTA traversal is still just a stalled reader
-     to the reclamation layer. *)
-  if delta then begin
-    (match List.assoc_opt "ebr" !delta_unr with
-    | Some u ->
-        check (u > bound)
-          (Printf.sprintf
-             "ebr: stalled DELTA reader pinned only %d nodes (bound %d) — \
-              expected unbounded growth"
-             u bound)
-    | None -> ());
-    List.iter
-      (fun (n, u) ->
-        check (u <= bound)
-          (Printf.sprintf
-             "%s: stalled delta-reader backlog %d exceeded the bound %d" n u
-             bound))
-      (List.filter (fun (n, _) -> is_robust n) !delta_unr)
-  end;
+     stalled adversary wearing service clothes, and a reader stalled
+     inside a delta traversal is still just a stalled reader to the
+     reclamation layer. *)
+  let snaps = List.rev_map fst !parked in
+  if smoke then note verdict (Stalled.contrast snaps);
+  judge_stalled verdict ~what:"parked snapshot reader" ~slack ~bound snaps;
+  judge_stalled verdict ~what:"parked delta reader" ~slack ~bound
+    (List.rev (List.filter_map snd !parked));
   if plot && !lag_series <> [] then begin
     print_string
       (Plot.render ~title:"replicate — follower lag while loaded"
@@ -1876,22 +1717,18 @@ let run_replicate ~sc ~ds ~schemes ~shards ~smoke ~plot ~snap_every ~delta =
          (List.rev !lag_series));
     print_newline ()
   end;
-  if !problems <> [] then begin
-    List.iter
-      (fun m -> Format.eprintf "replicate%s FAILED: %s@."
-          (if smoke then " smoke" else "") m)
-      (List.rev !problems);
-    exit 1
-  end
-  else if smoke then
-    Format.printf
-      "replicate smoke ok: acks durable, torn tails truncated, promoted and \
-       recovered states oracle-identical, snapshot reader bounded only under \
-       the robust scheme%s@."
-      (if delta then
-         ", delta snapshots under the 10% amplification bound with the \
-          stalled delta reader contrast intact"
-       else "")
+  finish verdict
+    ~ok:
+      (if smoke then
+         Some
+           (Printf.sprintf
+              "acks durable, torn tails truncated, promoted and recovered \
+               states oracle-identical, parked snapshot readers judged by \
+               each scheme's robust flag%s"
+              (if delta then
+                 ", delta snapshots under the 10% amplification bound"
+               else ""))
+       else None)
 
 (* ------------------------------------------------------------------ *)
 (* cluster: N consistent-hash members (each a durable Primary wrapped
@@ -1937,7 +1774,7 @@ type cluster_res = {
   cr_catchup_rounds : int;
   cr_delta_ships : int;
       (** migrations that shipped a delta chain instead of a full copy *)
-  cr_snap_unr : int;  (** shard-0 backlog while the snap reader is parked *)
+  cr_snap : Stalled.row;  (** shard-0 backlog while the snap reader is parked *)
   cr_reboots : int;
   cr_partitions : int;
   cr_table_kept : bool;
@@ -2139,7 +1976,7 @@ let cluster_run_one ~scheme_name ~structure_name ~nnodes ~seed ~churn ~nmig
       let snap =
         Domain.spawn (fun () -> svc0.Service.Shard.snapshot ~shard:0 ~gate)
       in
-      let snap_unr =
+      let snap =
         Fun.protect
           ~finally:(fun () ->
             Atomic.set release_snap true;
@@ -2148,25 +1985,30 @@ let cluster_run_one ~scheme_name ~structure_name ~nnodes ~seed ~churn ~nmig
             while not (Atomic.get entered) do
               Domain.cpu_relax ()
             done;
-            let churned = ref 0 in
             let kk = ref 1_000_000 in
-            while !churned < churn do
-              if
-                Cluster.Node.owns_slot nodes.(0)
-                  (Cluster.Ring.slot_of_key ~nslots !kk)
-                && svc0.Service.Shard.shard_of_key !kk = 0
-              then begin
-                ignore
-                  (Cluster.Router.call router
-                     (Service.Codec.Put { key = !kk; value = 1 }));
-                ignore (Cluster.Router.call router (Service.Codec.Del !kk));
-                churned := !churned + 2
-              end;
-              incr kk
-            done;
-            Smr.Stats.unreclaimed_of
-              (Smr.Stats.snapshot
-                 (List.nth (svc0.Service.Shard.data_stats ()) 0)))
+            let churn () =
+              let churned = ref 0 in
+              while !churned < churn do
+                if
+                  Cluster.Node.owns_slot nodes.(0)
+                    (Cluster.Ring.slot_of_key ~nslots !kk)
+                  && svc0.Service.Shard.shard_of_key !kk = 0
+                then begin
+                  ignore
+                    (Cluster.Router.call router
+                       (Service.Codec.Put { key = !kk; value = 1 }));
+                  ignore (Cluster.Router.call router (Service.Codec.Del !kk));
+                  churned := !churned + 2
+                end;
+                incr kk
+              done;
+              Smr.Stats.unreclaimed_of
+                (Smr.Stats.snapshot
+                   (List.nth (svc0.Service.Shard.data_stats ()) 0))
+            in
+            let at_n = churn () in
+            let at_2n = churn () in
+            Stalled.row scheme ~at_n ~at_2n)
       in
       (* Phase 4: whole-node faults.  Virtual time is the acked-op
          counter; each event parks the driver, performs the surgery
@@ -2262,7 +2104,7 @@ let cluster_run_one ~scheme_name ~structure_name ~nnodes ~seed ~churn ~nmig
         cr_delta_ships =
           List.length
             (List.filter (fun s -> s.Cluster.Migrate.mg_delta) mig_stats);
-        cr_snap_unr = snap_unr;
+        cr_snap = snap;
         cr_reboots = !reboots;
         cr_partitions = !partitions;
         cr_table_kept = !table_kept;
@@ -2277,6 +2119,7 @@ let run_cluster ~ds ~schemes ~nnodes ~seed ~smoke =
   let structure_name = match ds with "all" -> "hashmap" | d -> d in
   let churn = if smoke then 1200 else 4000 in
   let bound = churn / 4 in
+  let slack = Stalled.slack Service.Shard.default_config.Service.Shard.smr in
   let nmig = if smoke then 2 else 4 in
   (* The smoke plan is fixed by hand so CI always exercises both fault
      shapes: the migration target dies (the grant must survive its
@@ -2307,22 +2150,22 @@ let run_cluster ~ds ~schemes ~nnodes ~seed ~smoke =
   Format.printf "%-18s %6s %7s %5s %7s %6s %5s %8s %5s %7s %8s %4s %4s %3s@."
     "scheme" "Kops" "acked" "fail" "unavail" "moved" "shed" "snap-kvs"
     "delta" "catchup" "snap-unr" "reb" "part" "ok";
-  let problems = ref [] in
-  let check c msg = if not c then problems := msg :: !problems in
+  let verdict = report (if smoke then "cluster smoke" else "cluster") in
+  let check = check verdict in
   let has_kill =
     List.exists
       (fun (e : Chaos.Fault.node_event) ->
         match e.n_kind with Chaos.Fault.Node_kill _ -> true | _ -> false)
       plan
   in
-  let snap_unr = ref [] in
+  let snaps = ref [] in
   List.iter
     (fun scheme_name ->
       let r =
         cluster_run_one ~scheme_name ~structure_name ~nnodes ~seed ~churn
           ~nmig ~plan
       in
-      snap_unr := (scheme_name, r.cr_snap_unr) :: !snap_unr;
+      snaps := r.cr_snap :: !snaps;
       check (r.cr_failed = 0)
         (Printf.sprintf
            "%s: %d routed calls failed outside an outage window" scheme_name
@@ -2348,7 +2191,8 @@ let run_cluster ~ds ~schemes ~nnodes ~seed ~smoke =
         "%-18s %6.1f %7d %5d %7d %6d %5d %8d %5d %7d %8d %4d %4d %3s@."
         scheme_name r.cr_kops r.cr_acked r.cr_failed r.cr_unavailable
         r.cr_moved r.cr_shed r.cr_snap_kvs r.cr_delta_ships
-        r.cr_catchup_records r.cr_snap_unr r.cr_reboots r.cr_partitions
+        r.cr_catchup_records r.cr_snap.Stalled.at_2n r.cr_reboots
+        r.cr_partitions
         (if r.cr_failed = 0 && r.cr_oracle_ok && r.cr_table_kept then "ok"
          else "DIV");
       cluster_emit ~phase:"route" ~scheme:scheme_name ~structure:structure_name
@@ -2374,7 +2218,8 @@ let run_cluster ~ds ~schemes ~nnodes ~seed ~smoke =
       cluster_emit ~phase:"snapshot" ~scheme:scheme_name
         ~structure:structure_name ~nodes:nnodes
         [
-          ("snap_unreclaimed", float_of_int r.cr_snap_unr);
+          ("snap_unreclaimed_at_n", float_of_int r.cr_snap.Stalled.at_n);
+          ("snap_unreclaimed", float_of_int r.cr_snap.Stalled.at_2n);
           ("bound", float_of_int bound);
         ];
       cluster_emit ~phase:"faults" ~scheme:scheme_name
@@ -2388,50 +2233,19 @@ let run_cluster ~ds ~schemes ~nnodes ~seed ~smoke =
     schemes;
   Format.printf "@.";
   (* The robustness contrast: the parked snapshot shipper is the
-     paper's stalled adversary at cluster scale.  EBR must blow the
-     bound; every robust scheme must stay under it. *)
-  let is_robust n =
-    let prefix p =
-      String.length n >= String.length p && String.sub n 0 (String.length p) = p
-    in
-    prefix "hyalines" || prefix "crystalline"
-  in
-  (match List.assoc_opt "ebr" !snap_unr with
-  | Some u ->
-      check (u > bound)
-        (Printf.sprintf
-           "ebr: parked snapshot shipper pinned only %d nodes (bound %d) — \
-            expected unbounded growth"
-           u bound)
-  | None -> if smoke then check false "smoke needs ebr in --schemes");
-  (match List.filter (fun (n, _) -> is_robust n) !snap_unr with
-  | [] ->
-      if smoke then
-        check false
-          "smoke needs a robust scheme (hyalines/crystalline) in --schemes"
-  | robusts ->
-      List.iter
-        (fun (n, u) ->
-          check (u <= bound)
-            (Printf.sprintf
-               "%s: snapshot-shipping backlog %d exceeded the bound %d" n u
-               bound))
-        robusts);
-  if !problems <> [] then begin
-    List.iter
-      (fun m ->
-        Format.eprintf "cluster%s FAILED: %s@."
-          (if smoke then " smoke" else "")
-          m)
-      (List.rev !problems);
-    exit 1
-  end
-  else if smoke then
-    Format.printf
-      "cluster smoke ok: zero lost acks through live migration and node \
-       faults, merged acked history oracle-identical, cutover record kept \
-       across reboot, back-migration shipped a delta chain, \
-       snapshot-shipping backlog bounded only under the robust schemes@."
+     paper's stalled adversary at cluster scale. *)
+  let snaps = List.rev !snaps in
+  if smoke then note verdict (Stalled.contrast snaps);
+  judge_stalled verdict ~what:"parked snapshot shipper" ~slack ~bound snaps;
+  finish verdict
+    ~ok:
+      (if smoke then
+         Some
+           "zero lost acks through live migration and node faults, merged \
+            acked history oracle-identical, cutover record kept across \
+            reboot, back-migration shipped a delta chain, snapshot-shipping \
+            backlog judged by each scheme's robust flag"
+       else None)
 
 let rec dispatch figure ds paper threads duration active plot csv metrics_csv
     prom repeat dist schemes_arg head_backend shards_arg stalled_shards rate
@@ -2820,15 +2634,14 @@ let smoke =
     & info [ "smoke" ]
         ~doc:
           "(chaos) CI gate: run the fixed crash+oom+net plan twice against \
-           hyaline-s and ebr; exit 1 unless replays are identical, \
-           hyaline-s stays within --bound with a passing oracle, and ebr \
-           exceeds it.  (serve) CI gate: a seeded request stream must \
-           answer identically over the unix and shm transports, and a \
-           stalled zero-copy bracket must stay bounded under the robust \
-           scheme while epoch balloons.  (cluster) CI gate: zero lost acks \
-           through a live migration plus node kill/partition, merged acked \
-           history oracle-identical, and the snapshot-shipping backlog \
-           bounded only under the robust schemes.")
+           hyaline-s, crystalline and ebr; exit 1 unless replays are \
+           identical, the oracle passes, and each scheme stays within \
+           --bound exactly when it is robust.  (serve) CI gate: a seeded \
+           request stream must answer identically over the unix and shm \
+           transports.  (replicate, cluster) CI gate: besides their \
+           oracles, a parked snapshot reader's backlog must stay flat and \
+           under the bound for every robust scheme in --schemes and keep \
+           growing for every other one.")
 
 let transport_arg =
   Arg.(

@@ -186,8 +186,8 @@ module Zerocopy : sig
       and costs no syscall.  The SMR scheme is the isolation — a
       transparent scheme (Hyaline*/Crystalline) licenses the read
       with the bracket alone, and a client that stalls inside its
-      bracket can only pin what a robust scheme bounds (the chaos
-      stalled-client check).  Writes go through the ordinary routed
+      bracket can only pin what a robust scheme bounds (the
+      [shm.zerocopy] stalled-reader test).  Writes go through the ordinary routed
       {!call} — the shard consumer remains each map's only mutator.
 
       Contract: [enter → get* → leave], brackets short and reads only

@@ -5,71 +5,34 @@
 type scheme = {
   s_name : string;
   s_mod : Smr.Tracker.packed;
-  robust : bool;
   (* HP-style per-pointer protection cannot cover Bonsai's snapshot
      traversals; the paper omits HP and HE on that benchmark. *)
   pointer_grained : bool;
 }
 
+let scheme ?(pointer_grained = false) s_name s_mod =
+  { s_name; s_mod; pointer_grained }
+
 let schemes : scheme list =
+  let open Hyaline_core in
   [
-    { s_name = "Leaky"; s_mod = (module Smr.Leaky); robust = false; pointer_grained = false };
-    { s_name = "Epoch"; s_mod = (module Smr.Ebr); robust = false; pointer_grained = false };
-    { s_name = "HP"; s_mod = (module Smr.Hp); robust = true; pointer_grained = true };
-    { s_name = "HE"; s_mod = (module Smr.He); robust = true; pointer_grained = true };
-    { s_name = "IBR"; s_mod = (module Smr.Ibr); robust = true; pointer_grained = false };
-    { s_name = "Hyaline"; s_mod = (module Hyaline_core.Hyaline); robust = false; pointer_grained = false };
-    { s_name = "Hyaline-1"; s_mod = (module Hyaline_core.Hyaline1); robust = false; pointer_grained = false };
-    { s_name = "Hyaline-S"; s_mod = (module Hyaline_core.Hyaline_s); robust = true; pointer_grained = false };
-    { s_name = "Hyaline-1S"; s_mod = (module Hyaline_core.Hyaline1s); robust = true; pointer_grained = false };
-    {
-      s_name = "Hyaline(llsc)";
-      s_mod = (module Hyaline_core.Hyaline.Llsc);
-      robust = false;
-      pointer_grained = false;
-    };
-    {
-      s_name = "Hyaline-S(llsc)";
-      s_mod = (module Hyaline_core.Hyaline_s.Llsc);
-      robust = true;
-      pointer_grained = false;
-    };
-    {
-      s_name = "Hyaline(packed)";
-      s_mod = (module Hyaline_core.Hyaline.Packed);
-      robust = false;
-      pointer_grained = false;
-    };
-    {
-      s_name = "Hyaline-S(packed)";
-      s_mod = (module Hyaline_core.Hyaline_s.Packed);
-      robust = true;
-      pointer_grained = false;
-    };
-    {
-      s_name = "Hyaline-1(packed)";
-      s_mod = (module Hyaline_core.Hyaline1.Packed);
-      robust = false;
-      pointer_grained = false;
-    };
-    {
-      s_name = "Hyaline-1S(packed)";
-      s_mod = (module Hyaline_core.Hyaline1s.Packed);
-      robust = true;
-      pointer_grained = false;
-    };
-    {
-      s_name = "Crystalline";
-      s_mod = (module Hyaline_core.Crystalline);
-      robust = true;
-      pointer_grained = false;
-    };
-    {
-      s_name = "Crystalline(packed)";
-      s_mod = (module Hyaline_core.Crystalline.Packed);
-      robust = true;
-      pointer_grained = false;
-    };
+    scheme "Leaky" (module Smr.Leaky);
+    scheme "Epoch" (module Smr.Ebr);
+    scheme "HP" (module Smr.Hp) ~pointer_grained:true;
+    scheme "HE" (module Smr.He) ~pointer_grained:true;
+    scheme "IBR" (module Smr.Ibr);
+    scheme "Hyaline" (module Hyaline);
+    scheme "Hyaline-1" (module Hyaline1);
+    scheme "Hyaline-S" (module Hyaline_s);
+    scheme "Hyaline-1S" (module Hyaline1s);
+    scheme "Hyaline(llsc)" (module Hyaline.Llsc);
+    scheme "Hyaline-S(llsc)" (module Hyaline_s.Llsc);
+    scheme "Hyaline(packed)" (module Hyaline.Packed);
+    scheme "Hyaline-S(packed)" (module Hyaline_s.Packed);
+    scheme "Hyaline-1(packed)" (module Hyaline1.Packed);
+    scheme "Hyaline-1S(packed)" (module Hyaline1s.Packed);
+    scheme "Crystalline" (module Crystalline);
+    scheme "Crystalline(packed)" (module Crystalline.Packed);
   ]
 
 type structure = {

@@ -5,7 +5,8 @@
 type scheme = {
   s_name : string;
   s_mod : Smr.Tracker.packed;
-  robust : bool;
+      (** The scheme's own module; its [robust] flag is the one the
+          stalled-reader gate ({!Stalled}) judges by. *)
   pointer_grained : bool;
       (** HP-style per-pointer protection; such schemes are not run on
           the Bonsai tree, as in the paper. *)

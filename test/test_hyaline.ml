@@ -1,7 +1,8 @@
 (* Tests for the Hyaline family: unit tests of the building blocks,
    a white-box replay of the paper's Figure 2a scenario, the generic
-   scheme battery over every variant/backend, robustness contrasts,
-   adaptive resizing, and randomized accounting properties. *)
+   scheme battery over every variant/backend, the registry-wide
+   stalled-reader cases, adaptive resizing, and randomized accounting
+   properties. *)
 
 open Smr
 open Hyaline_core
@@ -613,32 +614,6 @@ let test_empty_slot_credits () =
 let hyaline_expect = { reclaims = true; protects = true }
 
 (* ------------------------------------------------------------------ *)
-(* Robustness: basic Hyaline(-1) pin like Epoch; the -S variants stay
-   bounded (Figure 10a's contrast). *)
-
-let robustness_tests =
-  [
-    Alcotest.test_case "Hyaline pins under stall" `Quick
-      (test_nonrobust_pins (module Hyaline));
-    Alcotest.test_case "Hyaline-1 pins under stall" `Quick
-      (test_nonrobust_pins (module Hyaline1));
-    Alcotest.test_case "Hyaline-S bounded under stall" `Quick
-      (test_robust_bounded (module Hyaline_s));
-    Alcotest.test_case "Hyaline-1S bounded under stall" `Quick
-      (test_robust_bounded (module Hyaline1s));
-    Alcotest.test_case "Hyaline-S(llsc) bounded under stall" `Quick
-      (test_robust_bounded (module Hyaline_s.Llsc));
-    Alcotest.test_case "Hyaline-S(packed) bounded under stall" `Quick
-      (test_robust_bounded (module Hyaline_s.Packed));
-    Alcotest.test_case "Hyaline-1S(packed) bounded under stall" `Quick
-      (test_robust_bounded (module Hyaline1s.Packed));
-    Alcotest.test_case "Crystalline bounded under stall" `Quick
-      (test_robust_bounded (module Crystalline));
-    Alcotest.test_case "Crystalline(packed) bounded under stall" `Quick
-      (test_robust_bounded (module Crystalline.Packed));
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* Ack-driven slot avoidance and §4.3 adaptive growth: stalled threads
    poison both initial slots; with [adaptive] the slot space doubles,
    without it the k stays capped. *)
@@ -907,7 +882,7 @@ let suites =
     scheme_suite "crystalline" (module Crystalline) ~expect:hyaline_expect;
     scheme_suite "crystalline.packed-backend" (module Crystalline.Packed)
       ~expect:hyaline_expect;
-    ("hyaline.robustness", robustness_tests);
+    ("hyaline.robustness", robustness_cases hyaline_schemes);
     ( "hyaline.adaptive",
       [
         Alcotest.test_case "slot space grows" `Slow test_adaptive_grows;

@@ -2,7 +2,7 @@
    property tests, segment lifecycle (generation-stamped attach),
    doorbell wakeups, the end-to-end Shm_conn transport against a live
    service, Conn.Faults parity over rings, and bracket-protected
-   zero-copy GETs including the stalled-reader robustness contrast. *)
+   zero-copy GETs including the registry-wide stalled-reader gate. *)
 
 module Codec = Service.Codec
 
@@ -718,12 +718,13 @@ let test_zerocopy_slot_exhaustion () =
       | None -> Alcotest.fail "slot not recycled")
 
 (* The robustness contrast, in miniature: a zero-copy reader stalls
-   inside its bracket while the consumer churns retirements.  A
-   robust scheme (hyaline1s) keeps the unreclaimed backlog bounded;
-   EBR's grows with the churn.  (The full adversary with real
-   thresholds runs in `experiments serve --transport shm --smoke`.) *)
-let stalled_backlog ~scheme =
-  let svc = make_svc ~shards:1 ~zc_readers:1 ~scheme () in
+   inside its bracket while the consumer churns retirements (every
+   overwrite and delete retires a node), and the backlog is sampled
+   after [n] and [2n] put/del pairs.  Every registry scheme is judged
+   by its own [robust] flag: a robust backlog stays flat and under a
+   quarter of the [2n] pairs' retirements, a non-robust one grows. *)
+let stalled_backlog (s : Workload.Registry.scheme) ~n =
+  let svc = make_svc ~shards:1 ~zc_readers:1 ~scheme:s.Workload.Registry.s_name () in
   Fun.protect ~finally:(fun () -> svc.Service.Shard.stop ())
   @@ fun () ->
   match Service.Conn.Zerocopy.connect svc ~tid:0 with
@@ -734,29 +735,31 @@ let stalled_backlog ~scheme =
       Service.Conn.Zerocopy.enter c;
       (* The stalled client: bracket open, never reading on. *)
       let lc = Service.Conn.Loopback.connect svc ~tid:1 in
-      for i = 0 to 2999 do
-        (* Overwrites + deletes: every one retires a node. *)
-        ignore (Service.Conn.Loopback.call lc (Codec.Put { key = i land 15; value = i }));
-        ignore (Service.Conn.Loopback.call lc (Codec.Del (i land 15)))
-      done;
-      let unreclaimed =
+      let churn () =
+        for i = 0 to n - 1 do
+          ignore (Service.Conn.Loopback.call lc (Codec.Put { key = i land 15; value = i }));
+          ignore (Service.Conn.Loopback.call lc (Codec.Del (i land 15)))
+        done;
         List.fold_left
           (fun acc st -> acc + Smr.Stats.unreclaimed st)
           0
           (svc.Service.Shard.data_stats ())
       in
+      let at_n = churn () in
+      let at_2n = churn () in
       Service.Conn.Zerocopy.leave c;
-      unreclaimed
+      Workload.Stalled.row s ~at_n ~at_2n
 
 let test_zerocopy_stalled_reader_robustness () =
-  let robust = stalled_backlog ~scheme:"hyaline1s" in
-  let ebr = stalled_backlog ~scheme:"ebr" in
-  (* 6000 retirements behind a stalled bracket: EBR pins the lot,
-     a robust scheme a small multiple of the batch bound. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "robust bounded (hyaline1s=%d vs ebr=%d)" robust ebr)
-    true
-    (robust * 4 < ebr)
+  let n = 1500 in
+  let slack = Workload.Stalled.slack Service.Shard.default_config.Service.Shard.smr in
+  let failures =
+    List.filter_map
+      (fun s ->
+        Workload.Stalled.judge ~slack ~bound:(2 * n / 4) (stalled_backlog s ~n))
+      Workload.Registry.schemes
+  in
+  if failures <> [] then Alcotest.fail (String.concat "; " failures)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-process zero-copy: arena-backed store, by-reference GETs. *)
@@ -967,7 +970,7 @@ let suites =
           test_zerocopy_roundtrip;
         Alcotest.test_case "slot lease/exhaust/recycle" `Quick
           test_zerocopy_slot_exhaustion;
-        Alcotest.test_case "stalled reader: robust bounded, EBR balloons"
+        Alcotest.test_case "stalled reader: robust flag judged registry-wide"
           `Quick test_zerocopy_stalled_reader_robustness;
       ] );
     ( "shm.zc-remote",

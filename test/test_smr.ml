@@ -245,15 +245,9 @@ let suites =
     scheme_suite "smr.hp" (module Hp)
       ~expect:{ reclaims = true; protects = true };
     ( "smr.robustness",
-      [
-        Alcotest.test_case "HP bounded under stall" `Quick
-          (test_robust_bounded (module Hp));
-        Alcotest.test_case "HE bounded under stall" `Quick
-          (test_robust_bounded (module He));
-        Alcotest.test_case "IBR bounded under stall" `Quick
-          (test_robust_bounded (module Ibr));
-        Alcotest.test_case "Epoch pins under stall" `Quick
-          (test_nonrobust_pins (module Ebr));
-        Alcotest.test_case "UAF detector fires" `Quick test_uaf_detector_fires;
-      ] );
+      robustness_cases smr_schemes
+      @ [
+          Alcotest.test_case "UAF detector fires" `Quick
+            test_uaf_detector_fires;
+        ] );
   ]

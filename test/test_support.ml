@@ -1,7 +1,7 @@
 (* Shared machinery for scheme-generic tracker tests: a pool-backed
    reclaimable block, a test battery functor run against every SMR
    scheme (baselines and all Hyaline variants), and the robustness
-   scenario used to contrast robust and non-robust schemes. *)
+   stalled-reader scenario every registry scheme is judged on. *)
 
 open Smr
 
@@ -206,12 +206,13 @@ module MakeBattery (S : Tracker.S) = struct
     ]
 end
 
-(* Stalled-reader scenario: returns the number of unreclaimed blocks
-   after a stalled reader pins its reservation while another thread
-   retires [n] fresh blocks. *)
+(* Stalled-reader scenario: a reader pins its reservation while
+   another thread retires fresh blocks; the backlog is sampled after
+   [n] and after [2n] retires, for the one stalled-reader judge. *)
 module Robustness (S : Tracker.S) = struct
-  let run ?(cfg = { Config.default with nthreads = 2; check_uaf = true }) ()
-      =
+  let cfg = { Config.default with nthreads = 2; check_uaf = true }
+
+  let run ~n =
     let t = S.create cfg in
     let pool = Pool.create ~local_cache:0 () in
     let alloc_blk ~tid =
@@ -227,32 +228,51 @@ module Robustness (S : Tracker.S) = struct
     (* tid 1 enters, protects one block, then stalls forever. *)
     S.enter t ~tid:1;
     let _ = S.read t ~tid:1 ~idx:0 link proj in
-    let n = 2_000 in
-    for _ = 1 to n do
-      S.enter t ~tid:0;
-      let b = alloc_blk ~tid:0 in
-      S.retire t ~tid:0 b.Blk.hdr;
-      S.leave t ~tid:0
-    done;
-    S.flush t ~tid:0;
-    Stats.unreclaimed (S.stats t)
+    let churn () =
+      for _ = 1 to n do
+        S.enter t ~tid:0;
+        let b = alloc_blk ~tid:0 in
+        S.retire t ~tid:0 b.Blk.hdr;
+        S.leave t ~tid:0
+      done;
+      S.flush t ~tid:0;
+      Stats.unreclaimed (S.stats t)
+    in
+    let at_n = churn () in
+    let at_2n = churn () in
+    (at_n, at_2n)
 end
 
-let test_robust_bounded (module S : Tracker.S) () =
-  let module R = Robustness (S) in
-  let unreclaimed = R.run () in
-  Alcotest.(check bool)
-    (Printf.sprintf "%s: unreclaimed (%d) stays bounded" S.name unreclaimed)
-    true
-    (unreclaimed < 500)
+(* One case per registry scheme, judged by its module's own [robust]
+   flag: "bounded under stall" or "pins under stall". *)
+let robustness_cases schemes =
+  List.map
+    (fun (s : Workload.Registry.scheme) ->
+      let module R = Robustness ((val s.Workload.Registry.s_mod)) in
+      let robust = Workload.Stalled.robust s in
+      Alcotest.test_case
+        (s.Workload.Registry.s_name
+        ^ if robust then " bounded under stall" else " pins under stall")
+        `Quick
+        (fun () ->
+          let at_n, at_2n = R.run ~n:1_000 in
+          let row = Workload.Stalled.row s ~at_n ~at_2n in
+          match
+            Workload.Stalled.judge
+              ~slack:(Workload.Stalled.slack R.cfg)
+              ~bound:500 row
+          with
+          | None -> ()
+          | Some why -> Alcotest.fail why))
+    schemes
 
-let test_nonrobust_pins (module S : Tracker.S) () =
-  let module R = Robustness (S) in
-  let unreclaimed = R.run () in
-  Alcotest.(check bool)
-    (Printf.sprintf "%s: stalled reader pins retires (%d)" S.name unreclaimed)
-    true
-    (unreclaimed > 1_500)
+(* The registry split by the library a scheme lives in (lib/smr
+   baselines, lib/hyaline family), so each suite reports its own. *)
+let smr_schemes, hyaline_schemes =
+  List.partition
+    (fun (s : Workload.Registry.scheme) ->
+      List.mem s.Workload.Registry.s_name [ "Leaky"; "Epoch"; "HP"; "HE"; "IBR" ])
+    Workload.Registry.schemes
 
 let scheme_suite name (module S : Tracker.S) ~expect =
   let module B = MakeBattery (S) in

@@ -368,8 +368,57 @@ let test_run_many_aggregates () =
     (three.Driver.throughput > one.Driver.throughput /. 4.0
     && three.Driver.throughput < one.Driver.throughput *. 4.0)
 
+(* ------------------------------------------------------------------ *)
+(* The stalled-reader judge *)
+
+let judge r = Stalled.judge ~slack:64 ~bound:500 r
+let stalled_row ~robust ~at_n ~at_2n = { Stalled.name = "x"; robust; at_n; at_2n }
+
+let test_stalled_judge_robust () =
+  Alcotest.(check bool) "flat robust row passes" true
+    (judge (stalled_row ~robust:true ~at_n:40 ~at_2n:60) = None);
+  Alcotest.(check bool) "robust row growing past the slack fails" true
+    (judge (stalled_row ~robust:true ~at_n:10 ~at_2n:75) <> None);
+  Alcotest.(check bool) "flat robust row at the bound fails" true
+    (judge (stalled_row ~robust:true ~at_n:500 ~at_2n:500) <> None)
+
+let test_stalled_judge_nonrobust () =
+  Alcotest.(check bool) "growing non-robust row passes" true
+    (judge (stalled_row ~robust:false ~at_n:1000 ~at_2n:2000) = None);
+  Alcotest.(check bool) "non-robust row that does not grow fails" true
+    (judge (stalled_row ~robust:false ~at_n:1000 ~at_2n:1064) <> None);
+  Alcotest.(check bool) "contrast needs both kinds" true
+    (Stalled.contrast [ stalled_row ~robust:true ~at_n:0 ~at_2n:0 ] <> None)
+
+(* The flag comes from the scheme's module, so every CLI spelling of a
+   scheme is judged alike. *)
+let test_stalled_flag_spelling () =
+  List.iter
+    (fun (name, robust) ->
+      Alcotest.(check bool) name robust
+        (Stalled.robust (Registry.find_scheme name)))
+    [
+      ("hyalines", true);
+      ("Hyaline-S", true);
+      ("hyaline_s", true);
+      ("hyaline1s", true);
+      ("ebr", false);
+      ("Epoch", false);
+    ];
+  Alcotest.(check int) "slack at Config.default" 64
+    (Stalled.slack Smr.Config.default)
+
 let extra_suites =
   [
+    ( "workload.stalled",
+      [
+        Alcotest.test_case "robust rows judged as a slope" `Quick
+          test_stalled_judge_robust;
+        Alcotest.test_case "non-robust rows must grow" `Quick
+          test_stalled_judge_nonrobust;
+        Alcotest.test_case "flag independent of spelling" `Quick
+          test_stalled_flag_spelling;
+      ] );
     ( "workload.keydist",
       [
         Alcotest.test_case "uniform" `Quick test_keydist_uniform;
