@@ -454,7 +454,7 @@ let shmalloc_overhead_rows () =
    rings for a 1 KiB value, answered by reference (the serving engine
    mints a [Val_ref] from one atomic map read and the client copies
    out of its own mapping) vs materialized daemon-side through the
-   mailbox.  The two clients alternate 16-call batches in one paired
+   mailbox.  The two clients alternate 16-call batches in each paired
    pass, so steal and scheduler ticks land on both alike; CI gates the
    ratio of the p50 rows at 2x per size. *)
 let serve_zc_rows () =
@@ -494,22 +494,48 @@ let serve_zc_rows () =
   if not (Service.Shm_conn.enable_zc cref) then
     failwith "bench: zc negotiation failed";
   (* Value-size sweep: the reference path's win should hold from a
-     cache-line-sized value up to the largest legal blob. *)
-  [ 64; 1024; 4080 ]
-  |> List.concat_map (fun n ->
-         let blob = String.init n (fun i -> Char.chr (i land 0xff)) in
-         ignore
-           (Service.Shm_conn.call cref
-              (Service.Codec.Putb { key = 1; value = blob }));
-         let get c () = ignore (Service.Shm_conn.call c (Service.Codec.Get 1)) in
-         let (ref_p50, _), (copy_p50, _) =
-           sample_percentiles_paired ~k:16 ~n:300 ~warmup:500 (get cref)
-             (get ccopy)
-         in
+     cache-line-sized value up to the largest legal blob.  Two things
+     other than the paths move a p50 here, and both only ever add
+     time.  A 4080 B reply is a major-heap allocation on either path,
+     so at the default [space_overhead] a major cycle (a stop-the-world
+     across the client, engine and consumer domains) lands in most
+     windows; a larger overhead keeps them rare.  And on a 2-vCPU box
+     the scheduler sometimes stacks the client and the engine on one
+     core for up to a second, where every call pays a context switch
+     and both p50s read about 30 us high.  So the sweep runs three
+     rounds, each size paired afresh per round, and keeps each path's
+     lowest p50: the uncontended cost, as [measure] keeps its lowest
+     trial. *)
+  let g = Gc.get () in
+  Gc.set { g with Gc.space_overhead = 400 };
+  let sizes = [ 64; 1024; 4080 ] in
+  let best = Array.make (List.length sizes) (infinity, infinity) in
+  for _ = 1 to 3 do
+    List.iteri
+      (fun i n ->
+        let blob = String.init n (fun i -> Char.chr (i land 0xff)) in
+        ignore
+          (Service.Shm_conn.call cref
+             (Service.Codec.Putb { key = 1; value = blob }));
+        let get c () = ignore (Service.Shm_conn.call c (Service.Codec.Get 1)) in
+        let (ref_p50, _), (copy_p50, _) =
+          sample_percentiles_paired ~k:16 ~n:100 ~warmup:500 (get cref)
+            (get ccopy)
+        in
+        let r, c = best.(i) in
+        best.(i) <- (Float.min r ref_p50, Float.min c copy_p50))
+      sizes
+  done;
+  Gc.set g;
+  List.concat
+    (List.mapi
+       (fun i n ->
+         let ref_p50, copy_p50 = best.(i) in
          [
            (Printf.sprintf "serve/zc/ref-get-p50/%dB" n, ref_p50);
            (Printf.sprintf "serve/zc/copy-get-p50/%dB" n, copy_p50);
          ])
+       sizes)
 
 let shmalloc_rows () =
   shmalloc_class_rows () @ shmalloc_overhead_rows () @ serve_zc_rows ()

@@ -664,11 +664,11 @@ let check r c msg = if not c then note r (Some msg)
 let fail r fmt = Printf.ksprintf (fun m -> note r (Some m)) fmt
 
 (* Every stalled-reader verdict goes through [Stalled.judge]. *)
-let judge_stalled r ~what ~slack ~bound rows =
+let judge_stalled r ~what ~slack ~bound ~floor rows =
   List.iter
     (fun row ->
       Format.printf "%s: %s backlog %s@." r.tag what (Stalled.to_string row);
-      note r (Stalled.judge ~slack ~bound row))
+      note r (Stalled.judge ~slack ~bound ~floor row))
     rows
 
 let finish r ~ok =
@@ -926,11 +926,11 @@ let run_serve_zc_smoke () =
       (diverge ref_replies heap_replies);
   (* 2: stalled remote reader, Handoff vs Epoch, over 2 x 2500 pairs;
      handoff must end under a quarter of the retirements behind the
-     stall. *)
+     stall, and epoch above it. *)
   let n = 2500 in
   judge_stalled verdict ~what:"stalled remote reader"
     ~slack:(Stalled.slack Smr.Config.default)
-    ~bound:(2 * n / 4)
+    ~bound:(2 * n / 4) ~floor:(2 * n / 4)
     (List.map
        (fun policy -> zc_stalled_backlog ~policy ~n)
        [ Shmalloc.Arena.Handoff; Shmalloc.Arena.Epoch ]);
@@ -1094,10 +1094,10 @@ let run_chaos ~ds ~schemes ~classes ~steps ~seed ~bound ~shards ~smoke ~plot =
         (match r.Chaos.Engine.r_mem_bounded with
         | None -> fail verdict "%s: the plan's crash was never detected" name
         | Some bounded ->
-            note verdict
-              (Stalled.expect_bounded ~name
-                 ~robust:(Stalled.robust (Registry.find_scheme name))
-                 ~bounded));
+            if Stalled.robust (Registry.find_scheme name) <> bounded then
+              fail verdict "%s: ctl backlog %s its bound across the crash \
+                            window, against its robust flag" name
+                (if bounded then "stayed within" else "exceeded"));
         check verdict r.Chaos.Engine.r_oracle.Chaos.Oracle.ok
           (name ^ ": oracle failed"))
       [ "hyalines"; "crystalline"; "ebr" ];
@@ -1549,7 +1549,11 @@ let run_replicate ~sc ~ds ~schemes ~shards ~smoke ~plot ~snap_every ~delta =
   let seed = 4242 in
   let duration = if smoke then 0.15 else Float.max 0.3 sc.Figures.duration in
   let churn = if smoke then 1500 else 4000 in
+  (* A parked reader sees [churn] ops, then [churn] more: a robust
+     backlog must end under a quarter of one round, a non-robust one
+     above a quarter of both. *)
   let bound = churn / 4 in
+  let floor = 2 * churn / 4 in
   let slack = Stalled.slack Service.Shard.default_config.Service.Shard.smr in
   let rounds = if smoke then 1200 else 3000 in
   Format.printf
@@ -1707,8 +1711,9 @@ let run_replicate ~sc ~ds ~schemes ~shards ~smoke ~plot ~snap_every ~delta =
      reclamation layer. *)
   let snaps = List.rev_map fst !parked in
   if smoke then note verdict (Stalled.contrast snaps);
-  judge_stalled verdict ~what:"parked snapshot reader" ~slack ~bound snaps;
-  judge_stalled verdict ~what:"parked delta reader" ~slack ~bound
+  judge_stalled verdict ~what:"parked snapshot reader" ~slack ~bound ~floor
+    snaps;
+  judge_stalled verdict ~what:"parked delta reader" ~slack ~bound ~floor
     (List.rev (List.filter_map snd !parked));
   if plot && !lag_series <> [] then begin
     print_string
@@ -2118,7 +2123,11 @@ let run_cluster ~ds ~schemes ~nnodes ~seed ~smoke =
   end;
   let structure_name = match ds with "all" -> "hashmap" | d -> d in
   let churn = if smoke then 1200 else 4000 in
+  (* A parked reader sees [churn] ops, then [churn] more: a robust
+     backlog must end under a quarter of one round, a non-robust one
+     above a quarter of both. *)
   let bound = churn / 4 in
+  let floor = 2 * churn / 4 in
   let slack = Stalled.slack Service.Shard.default_config.Service.Shard.smr in
   let nmig = if smoke then 2 else 4 in
   (* The smoke plan is fixed by hand so CI always exercises both fault
@@ -2236,7 +2245,8 @@ let run_cluster ~ds ~schemes ~nnodes ~seed ~smoke =
      paper's stalled adversary at cluster scale. *)
   let snaps = List.rev !snaps in
   if smoke then note verdict (Stalled.contrast snaps);
-  judge_stalled verdict ~what:"parked snapshot shipper" ~slack ~bound snaps;
+  judge_stalled verdict ~what:"parked snapshot shipper" ~slack ~bound ~floor
+    snaps;
   finish verdict
     ~ok:
       (if smoke then

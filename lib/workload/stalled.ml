@@ -19,7 +19,7 @@ let to_string r =
     (if r.robust then "robust" else "not robust")
     r.at_n r.at_2n (r.at_2n - r.at_n)
 
-let judge ~slack ~bound r =
+let judge ~slack ~bound ~floor r =
   let grew = r.at_2n - r.at_n in
   if r.robust && grew > slack then
     Some
@@ -33,6 +33,10 @@ let judge ~slack ~bound r =
          "%s: grew by no more than the slack %d, so the stalled reader did \
           not bite"
          (to_string r) slack)
+  else if (not r.robust) && r.at_2n <= floor then
+    Some
+      (Printf.sprintf "%s: pinned no more than the floor %d behind the stall"
+         (to_string r) floor)
   else None
 
 let contrast rows =
@@ -40,13 +44,3 @@ let contrast rows =
      && List.exists (fun r -> not r.robust) rows
   then None
   else Some "the stalled-reader contrast needs a robust and a non-robust scheme"
-
-let expect_bounded ~name ~robust ~bounded =
-  match (robust, bounded) with
-  | true, false -> Some (name ^ " (robust): backlog exceeded its bound")
-  | false, true ->
-      Some
-        (name
-       ^ " (not robust): backlog stayed within its bound, so the stalled \
-          reader did not bite")
-  | _ -> None

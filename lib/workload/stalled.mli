@@ -11,8 +11,9 @@
 
     - a robust row passes only if it grows by at most [slack] over
       the second [N] ops and ends under the caller's absolute bound;
-    - a non-robust row must grow by more than [slack]: that shows the
-      adversary bites, so a robust row's flat line means something. *)
+    - a non-robust row must grow by more than [slack] and end above
+      the caller's floor: that shows the adversary bites, so a robust
+      row's flat line means something. *)
 
 type row = {
   name : string;
@@ -31,16 +32,13 @@ val slack : Smr.Config.t -> int
     growing by while a robust scheme is still settling its slots and
     batches (64 at {!Smr.Config.default}). *)
 
-val judge : slack:int -> bound:int -> row -> string option
+val judge : slack:int -> bound:int -> floor:int -> row -> string option
 (** [None] if the row behaves as its flag declares, else why not.
-    [bound] is exclusive and applies to robust rows only. *)
+    Both limits are exclusive: a robust row must end under [bound], a
+    non-robust one above [floor]. *)
 
 val contrast : row list -> string option
 (** [None] if the rows hold at least one robust and one non-robust
     scheme, so that a pass shows both halves of the promise. *)
-
-val expect_bounded : name:string -> robust:bool -> bounded:bool -> string option
-(** For scenarios that observe only whether a backlog stayed within
-    its bound: a robust scheme must have, a non-robust one must not. *)
 
 val to_string : row -> string

@@ -371,7 +371,7 @@ let test_run_many_aggregates () =
 (* ------------------------------------------------------------------ *)
 (* The stalled-reader judge *)
 
-let judge r = Stalled.judge ~slack:64 ~bound:500 r
+let judge r = Stalled.judge ~slack:64 ~bound:500 ~floor:1500 r
 let stalled_row ~robust ~at_n ~at_2n = { Stalled.name = "x"; robust; at_n; at_2n }
 
 let test_stalled_judge_robust () =
@@ -387,6 +387,8 @@ let test_stalled_judge_nonrobust () =
     (judge (stalled_row ~robust:false ~at_n:1000 ~at_2n:2000) = None);
   Alcotest.(check bool) "non-robust row that does not grow fails" true
     (judge (stalled_row ~robust:false ~at_n:1000 ~at_2n:1064) <> None);
+  Alcotest.(check bool) "non-robust row ending at the floor fails" true
+    (judge (stalled_row ~robust:false ~at_n:100 ~at_2n:1500) <> None);
   Alcotest.(check bool) "contrast needs both kinds" true
     (Stalled.contrast [ stalled_row ~robust:true ~at_n:0 ~at_2n:0 ] <> None)
 
