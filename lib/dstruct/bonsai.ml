@@ -86,7 +86,8 @@ module Make (T : Tracker.S) : Map_intf.S = struct
     n.weight <- 1 + weight l + weight r;
     Atomic.set n.left l;
     Atomic.set n.right r;
-    n.hdr.Hdr.free_hook <- (fun () -> Pool.free t.pool n);
+    if n.hdr.Hdr.free_hook == Hdr.no_hook then
+      n.hdr.Hdr.free_hook <- (fun () -> Pool.free t.pool n);
     T.alloc_hook t.tracker ~tid n.hdr;
     ctx.created <- n :: ctx.created;
     n

@@ -39,7 +39,8 @@ module Make (T : Tracker.S) = struct
     let n = Pool.alloc t.pool in
     n.value <- value;
     Atomic.set n.next None;
-    n.hdr.Hdr.free_hook <- (fun () -> Pool.free t.pool n);
+    if n.hdr.Hdr.free_hook == Hdr.no_hook then
+      n.hdr.Hdr.free_hook <- (fun () -> Pool.free t.pool n);
     T.alloc_hook t.tracker ~tid n.hdr;
     n
 

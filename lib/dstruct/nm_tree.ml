@@ -101,7 +101,8 @@ module Make (T : Tracker.S) : Map_intf.S = struct
     n.key <- key;
     n.value <- value;
     n.is_leaf <- is_leaf;
-    n.hdr.Hdr.free_hook <- (fun () -> Pool.free t.pool n);
+    if n.hdr.Hdr.free_hook == Hdr.no_hook then
+      n.hdr.Hdr.free_hook <- (fun () -> Pool.free t.pool n);
     T.alloc_hook t.tracker ~tid n.hdr;
     n
 

@@ -161,12 +161,15 @@ let client_dead c =
 let nudge_server c =
   if Shm.Seg.server_waiting c.seg then Shm.Doorbell.ring c.srv_bell
 
-(* How long a blocked client spins before sleeping on its doorbell.
-   With spare cores, spinning rides out the daemon's reply latency
-   without a sleep/wake round trip.  On a box with no spare core the
-   spin is actively harmful — a spinning client burns the very
-   timeslice the engine and shard consumers need to produce the
-   reply, so the client must yield almost immediately (the FIFO wakeup
+(* How long a blocked client spins before sleeping on its doorbell,
+   polling for the reply on every relax.  With spare cores, spinning
+   rides out the daemon's reply latency without a sleep/wake round
+   trip ({!Shm.Doorbell.default_spin}, 200,672 relaxes).  On a box
+   with no spare core a long spin is actively harmful — a spinning
+   client burns the very timeslice the engine and shard consumers need
+   to produce the reply — so the budget is 4 rounds, 480 relaxes
+   (about 18 us on a 2-vCPU x86 host), long enough to catch an inline
+   GET's reply and short enough to yield soon after (the FIFO wakeup
    is directed, a few microseconds). *)
 let client_spin =
   if Domain.recommended_domain_count () > 4 then Shm.Doorbell.default_spin

@@ -1,10 +1,13 @@
 (* Spin-then-sleep wakeup over a named FIFO.
 
-   The hot path never touches the kernel: a waiter first spins on its
-   ready predicate with exponential backoff.  Only when the spin
-   budget runs out does it publish a "waiting" flag (a word in the
-   shared segment, supplied by the caller as closures), re-check the
-   predicate, and block in [select] on the FIFO's read end.  The
+   The hot path never touches the kernel: a waiter first polls its
+   ready predicate, once per [Domain.cpu_relax], so a reply is seen
+   within one relax of landing (the shape of [Prims.Parker.park]).
+   Only when the spin budget runs out does it publish a "waiting" flag
+   (a word in the shared segment, supplied by the caller as closures),
+   re-check the predicate, and block in [select] on the FIFO's read
+   end.  The budget is [spin] rounds of a 32, 64, ..., 1024 doubling
+   schedule: [~spin:4] is 480 relaxes, {!default_spin} 200,672.  The
    ringer's fast path is a single shared-memory load of that flag —
    it opens and writes the FIFO only when the peer is actually
    asleep, so a saturated ring exchanges messages with no syscalls at
@@ -79,29 +82,36 @@ let ring t =
              FIFO — equally nobody to wake. *)
           ())
 
+(* Relaxes in [spin] rounds of the 32, 64, ..., 1024 doubling
+   schedule: 32 (2^spin - 1) for the first five rounds, then 1024 a
+   round. *)
+let relaxes spin =
+  if spin <= 5 then 32 * ((1 lsl max spin 0) - 1)
+  else 992 + ((spin - 5) * 1024)
+
+(* [ready] polled [n + 1] times, one relax between polls. *)
+let rec poll ready n =
+  ready ()
+  || n > 0
+     && begin
+          Domain.cpu_relax ();
+          poll ready (n - 1)
+        end
+
 let wait ?(spin = default_spin) ?(timeout_s = 0.05) t ~announce ~ready =
-  if not (ready ()) then begin
-    let b = Prims.Backoff.create ~min_wait:32 ~max_wait:1024 () in
-    let budget = ref spin in
-    while (not (ready ())) && !budget > 0 do
-      decr budget;
-      Prims.Backoff.once b
-    done;
+  if not (poll ready (relaxes spin)) then begin
+    let fd = fd_rd t in
+    announce true;
+    (* Re-check after publishing the flag: the ringer loads the flag
+       after publishing its data, so one side must see the other. *)
     if not (ready ()) then begin
-      let fd = fd_rd t in
-      announce true;
-      (* Re-check after publishing the flag: the ringer loads the flag
-         after publishing its data, so one side must see the other. *)
-      if not (ready ()) then begin
-        (match Unix.select [ fd ] [] [] timeout_s with
-        | [], _, _ -> ()
-        | _ -> drain t
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-        ()
-      end;
-      announce false;
-      drain t
-    end
+      match Unix.select [ fd ] [] [] timeout_s with
+      | [], _, _ -> ()
+      | _ -> drain t
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    end;
+    announce false;
+    drain t
   end
 
 let close t =

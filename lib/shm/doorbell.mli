@@ -1,18 +1,19 @@
 (** Spin-then-sleep wakeup between two processes sharing a segment.
 
     A doorbell is a named FIFO plus a caller-supplied "waiting" flag
-    in shared memory.  The waiter spins briefly on its ready
-    predicate, and only if that fails announces itself asleep and
-    blocks in [select] on the FIFO; the ringer's fast path is one
-    shared-memory load of the flag, writing the FIFO only when the
-    peer is actually asleep.  Under load neither side makes a
-    syscall.  Wakeups may be spurious; callers re-check their
-    predicate in a loop.  All waits are bounded by [timeout_s], so a
+    in shared memory.  The waiter polls its ready predicate on every
+    [Domain.cpu_relax] for a bounded budget, and only if that fails
+    announces itself asleep and blocks in [select] on the FIFO; the
+    ringer's fast path is one shared-memory load of the flag, writing
+    the FIFO only when the peer is actually asleep.  Under load
+    neither side makes a syscall.  Wakeups may be spurious; callers
+    re-check their predicate in a loop.  All waits are bounded by [timeout_s], so a
     died peer can never strand the waiter. *)
 
 type t
 
 val default_spin : int
+(** 200 rounds: 200,672 relaxes. *)
 
 val create : path:string -> t
 (** Create the FIFO at [path] (mode 0600, replacing any stale one).
@@ -27,9 +28,13 @@ val wait :
   ?spin:int -> ?timeout_s:float -> t ->
   announce:(bool -> unit) -> ready:(unit -> bool) -> unit
 (** Wait until [ready ()] looks true or [timeout_s] elapses.
-    [announce b] must store the waiting flag [b] into shared memory
-    (with a fence); [ready] must load from shared memory.  Returns
-    with the flag cleared.  May return spuriously. *)
+    [ready] is polled first, then once after each of the spin
+    budget's relaxes: [spin] rounds of a 32, 64, ..., 1024 doubling
+    schedule, so [~spin:4] is 480 relaxes and [~spin:10] 6112.  Only
+    then does the waiter call [announce true], re-check [ready] and
+    sleep.  [announce b] must store the waiting flag [b] into shared
+    memory (with a fence); [ready] must load from shared memory.
+    Returns with the flag cleared.  May return spuriously. *)
 
 val fd_rd : t -> Unix.file_descr
 (** The FIFO's read end (opened non-blocking on first use) — for

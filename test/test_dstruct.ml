@@ -317,6 +317,58 @@ let test_list_miss_words () =
   in
   if miss > 0.01 then Alcotest.failf "list get miss allocates %.2f words" miss
 
+(* The other pooled structures, on the same packed Hyaline-S: a free
+   hook bound once per pooled node, not once per allocation.  The
+   trees still allocate in their traversals and Bonsai in its
+   rebuilds; each row is held at its measured count. *)
+module Packed_nm = Dstruct.Nm_tree.Make (Hyaline_core.Hyaline_s.Packed)
+module Packed_bonsai = Dstruct.Bonsai.Make (Hyaline_core.Hyaline_s.Packed)
+module Packed_queue = Dstruct.Ms_queue.Make (Hyaline_core.Hyaline_s.Packed)
+module Nm_op = Op (Packed_nm)
+module Bonsai_op = Op (Packed_bonsai)
+
+let tree_pair_words (type m) (module M : Dstruct.Map_intf.S with type t = m)
+    ~insert ~remove =
+  let m = M.create ~cfg:paper_cfg () in
+  let keys = 1024 in
+  for k = 0 to keys - 1 do
+    insert m k
+  done;
+  let pair =
+    words_per ~n:10_000 (fun i ->
+        let k = keys + (i land 4095) in
+        insert m k;
+        remove m k)
+  in
+  M.check m;
+  pair
+
+let check_words name ~bound words =
+  if words > bound then
+    Alcotest.failf "%s allocates %.2f words (bound %.1f)" name words bound
+
+let test_nm_tree_pair_words () =
+  check_words "NM-tree insert+remove pair" ~bound:166.
+    (tree_pair_words (module Packed_nm) ~insert:Nm_op.insert
+       ~remove:Nm_op.remove)
+
+let test_bonsai_pair_words () =
+  check_words "Bonsai insert+remove pair" ~bound:276.5
+    (tree_pair_words (module Packed_bonsai) ~insert:Bonsai_op.insert
+       ~remove:Bonsai_op.remove)
+
+let queue_pair q i =
+  Packed_queue.enqueue q ~tid:0 i;
+  ignore (Sys.opaque_identity (Packed_queue.dequeue q ~tid:0))
+
+let test_queue_pair_words () =
+  let q = Packed_queue.create paper_cfg in
+  for i = 0 to 63 do
+    Packed_queue.enqueue q ~tid:0 i
+  done;
+  check_words "Ms_queue enqueue+dequeue pair" ~bound:24.5
+    (words_per ~n:10_000 (queue_pair q))
+
 (* --- pool recycling --------------------------------------------------- *)
 
 let gauge (type m) (module M : Dstruct.Map_intf.S with type t = m) (m : m) name
@@ -487,6 +539,12 @@ let suites =
             test_hashmap_op_words;
           Alcotest.test_case "list get miss allocation-free" `Quick
             test_list_miss_words;
+          Alcotest.test_case "ms_queue enqueue+dequeue words" `Quick
+            test_queue_pair_words;
+          Alcotest.test_case "nm-tree insert+remove words" `Quick
+            test_nm_tree_pair_words;
+          Alcotest.test_case "bonsai insert+remove words" `Quick
+            test_bonsai_pair_words;
         ] );
       ( "dstruct.pool",
         [

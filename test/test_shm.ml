@@ -337,19 +337,54 @@ let test_seg_unlink_sweeps_files () =
 (* ------------------------------------------------------------------ *)
 (* Doorbell. *)
 
-let test_doorbell_ready_fast_path () =
-  let path = tmp_name "bell-fast" in
+(* Counts [ready] calls up to the first [announce true].  [ready]
+   turns true on call [true_at] (never, if 0); the select timeout is
+   1 ms, so a waiter that does sleep returns at once. *)
+let doorbell_polls ~spin ~true_at =
+  let path = tmp_name "bell-polls" in
   let bell = Shm.Doorbell.create ~path in
   Fun.protect ~finally:(fun () ->
       Shm.Doorbell.close bell;
       Shm.Doorbell.unlink bell)
   @@ fun () ->
+  let calls = ref 0 and at_announce = ref None in
+  Shm.Doorbell.wait bell ~spin ~timeout_s:0.001
+    ~announce:(fun b ->
+      if b && !at_announce = None then at_announce := Some !calls)
+    ~ready:(fun () ->
+      incr calls;
+      !calls = true_at);
+  !at_announce
+
+let test_doorbell_ready_fast_path () =
   (* ready immediately: wait must return without ever announcing. *)
-  let announced = ref false in
-  Shm.Doorbell.wait bell
-    ~announce:(fun _ -> announced := true)
-    ~ready:(fun () -> true);
-  Alcotest.(check bool) "no flag traffic on the fast path" false !announced
+  match doorbell_polls ~spin:Shm.Doorbell.default_spin ~true_at:1 with
+  | None -> ()
+  | Some _ -> Alcotest.fail "flag traffic on the fast path"
+
+(* The predicate is polled on every relax, not between backoff rounds:
+   a reply that lands on the 100th poll, well inside [~spin:4]'s 480
+   relaxes, is seen without the waiter ever announcing a sleep. *)
+let test_doorbell_polls_every_relax () =
+  match doorbell_polls ~spin:4 ~true_at:100 with
+  | None -> ()
+  | Some n -> Alcotest.failf "announced after %d polls, ready on the 100th" n
+
+(* The spin budget is [spin] rounds of the 32..1024 doubling schedule,
+   in relaxes: 480 at [~spin:4] (the shipped client's budget on a
+   small host), 32+64+128+256+512+5*1024 = 6112 at [~spin:10].  Up to
+   three more polls are allowed (entry, loop exit, re-check). *)
+let test_doorbell_spin_budget () =
+  List.iter
+    (fun (spin, budget) ->
+      match doorbell_polls ~spin ~true_at:0 with
+      | None -> Alcotest.failf "~spin:%d never announced" spin
+      | Some n ->
+          if n < budget || n > budget + 3 then
+            Alcotest.failf
+              "~spin:%d polled %d times before announcing, not %d-%d" spin n
+              budget (budget + 3))
+    [ (4, 480); (10, 6112) ]
 
 let test_doorbell_wakes_sleeper () =
   let path = tmp_name "bell-wake" in
@@ -936,6 +971,10 @@ let suites =
       [
         Alcotest.test_case "ready fast path makes no flag traffic" `Quick
           test_doorbell_ready_fast_path;
+        Alcotest.test_case "predicate polled on every relax" `Quick
+          test_doorbell_polls_every_relax;
+        Alcotest.test_case "spin budget counted in relaxes" `Quick
+          test_doorbell_spin_budget;
         Alcotest.test_case "ring wakes a sleeping waiter" `Quick
           test_doorbell_wakes_sleeper;
       ] );
